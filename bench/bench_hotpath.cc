@@ -17,8 +17,11 @@
 //
 // Unlike the figure benches, the numbers here are HOST wall-clock
 // throughputs: they track the substrate's implementation cost, not the
-// simulated system. Results are appended to BENCH_hotpath.json so the
-// perf trajectory across PRs is recorded.
+// simulated system. Results go to BENCH_hotpath.json with a `host`
+// block (core count, compiler, build type), so every recorded number
+// names the machine it came from.
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 
@@ -157,6 +160,8 @@ void WriteJson(const HotpathReport& r, const char* path) {
   }
   std::fprintf(f,
                "{\n"
+               "  \"host\": {\"nproc\": %ld, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\"},\n"
                "  \"sched_events_per_sec\": %.0f,\n"
                "  \"cancel_ops_per_sec\": %.0f,\n"
                "  \"fanout_deliveries_per_sec\": %.0f,\n"
@@ -169,6 +174,7 @@ void WriteJson(const HotpathReport& r, const char* path) {
                "    \"engine\": %s\n"
                "  }\n"
                "}\n",
+               sysconf(_SC_NPROCESSORS_ONLN), BENCH_COMPILER, BENCH_BUILD_TYPE,
                r.sched_events_per_sec, r.cancel_ops_per_sec,
                r.fanout_deliveries_per_sec, r.m_nodes, r.m_scale.wall_s,
                r.m_scale.sim_s, r.m_scale.converged ? "true" : "false",

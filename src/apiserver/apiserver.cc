@@ -57,15 +57,16 @@ Status ApiServer::RunAdmission(AdmissionOp op,
 }
 
 void ApiServer::Broadcast(WatchEventType type, const model::ApiObject& obj) {
-  for (const auto& [id, watcher] : watchers_) {
-    if (watcher.kind != obj.kind) continue;
+  auto bucket = watchers_.find(obj.kind);
+  if (bucket == watchers_.end()) return;
+  const Duration delay =
+      cost_.watch_delivery_latency +
+      static_cast<Duration>(static_cast<double>(obj.SerializedSize()) *
+                            cost_.serialize_ns_per_byte);
+  for (const auto& [id, watcher] : bucket->second) {
     if (watcher.filter && !watcher.filter(obj)) continue;
     // Copy per watcher; delivery is ordered because events scheduled at
     // equal times fire in scheduling order.
-    const Duration delay =
-        cost_.watch_delivery_latency +
-        static_cast<Duration>(static_cast<double>(obj.SerializedSize()) *
-                              cost_.serialize_ns_per_byte);
     WatchCallback cb = watcher.cb;
     WatchEvent event{type, obj};
     const std::uint64_t epoch = epoch_;
@@ -211,13 +212,14 @@ void ApiServer::Crash() {
   apf_.Reset();
   // Watch streams die; subscribers that registered a break handler
   // learn after the delivery latency and must re-list on reconnect.
-  for (auto& [id, watcher] : watchers_) {
-    (void)id;
+  for (const auto& [id, kind] : watch_kinds_) {
+    const Watcher& watcher = watchers_[kind][id];
     if (!watcher.on_break) continue;
     engine_.ScheduleAfter(cost_.watch_delivery_latency,
                           [cb = watcher.on_break] { cb(); });
   }
   watchers_.clear();
+  watch_kinds_.clear();
 }
 
 void ApiServer::Restart() {
@@ -418,12 +420,20 @@ WatchId ApiServer::Watch(const std::string& kind,
                          LaneId lane) {
   if (!up_) return 0;  // nothing to connect to; caller retries
   const WatchId id = next_watch_id_++;
-  watchers_[id] = Watcher{kind, std::move(filter), std::move(cb),
-                          std::move(on_break), lane};
+  watchers_[kind][id] =
+      Watcher{std::move(filter), std::move(cb), std::move(on_break), lane};
+  watch_kinds_[id] = kind;
   return id;
 }
 
-void ApiServer::Unwatch(WatchId id) { watchers_.erase(id); }
+void ApiServer::Unwatch(WatchId id) {
+  auto it = watch_kinds_.find(id);
+  if (it == watch_kinds_.end()) return;
+  auto bucket = watchers_.find(it->second);
+  bucket->second.erase(id);
+  if (bucket->second.empty()) watchers_.erase(bucket);
+  watch_kinds_.erase(it);
+}
 
 const model::ApiObject* ApiServer::Peek(const std::string& kind,
                                         const std::string& name) const {

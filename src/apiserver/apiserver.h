@@ -233,13 +233,18 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   Time etcd_free_ = 0;
 
   struct Watcher {
-    std::string kind;
     std::function<bool(const model::ApiObject&)> filter;  // may be null
     WatchCallback cb;
     WatchBreakCallback on_break;  // may be null
     LaneId lane = kNoLane;  // deliveries execute in this lane's group
   };
-  std::map<WatchId, Watcher> watchers_;
+  // Watchers bucketed by kind, each bucket in WatchId order: a write
+  // touches only the watchers of its object's kind, in the order they
+  // registered.
+  std::map<std::string, std::map<WatchId, Watcher>> watchers_;
+  // Every live watch's kind, in WatchId order (Unwatch's lookup and
+  // the global order in which Crash() breaks streams).
+  std::map<WatchId, std::string> watch_kinds_;
   WatchId next_watch_id_ = 1;
 
   // --- fault-domain state ---------------------------------------------

@@ -25,7 +25,16 @@ DeploymentController::DeploymentController(runtime::Env& env, Mode mode)
   cache_.AddChangeHandler([this](const std::string& key,
                                  const ApiObject* before,
                                  const ApiObject* after) {
-    (void)key;
+    if (before != nullptr && before->kind == kKindReplicaSet) {
+      auto it = rs_index_.find(
+          {model::GetOwnerName(*before), model::GetRevision(*before)});
+      it->second.erase(key);
+      if (it->second.empty()) rs_index_.erase(it);
+    }
+    if (after != nullptr && after->kind == kKindReplicaSet) {
+      rs_index_[{model::GetOwnerName(*after), model::GetRevision(*after)}]
+          .insert(key);
+    }
     const ApiObject* obj = after != nullptr ? after : before;
     if (obj == nullptr) return;
     if (obj->kind == kKindDeployment) {
@@ -57,6 +66,7 @@ DeploymentController::DeploymentController(runtime::Env& env, Mode mode)
   harness_.OnCrash([this] {
     desired_.clear();
     last_sent_.clear();
+    rs_index_.clear();  // the caches clear without change events
   });
 }
 
@@ -73,14 +83,10 @@ void DeploymentController::OnScaleMessage(const kubedirect::KdMessage& msg) {
 
 const ApiObject* DeploymentController::FindReplicaSet(
     const ApiObject& deployment) {
-  const std::int64_t revision = model::GetRevision(deployment);
-  for (const ApiObject* rs : cache_.List(kKindReplicaSet)) {
-    if (model::GetOwnerName(*rs) == deployment.name &&
-        model::GetRevision(*rs) == revision) {
-      return rs;
-    }
-  }
-  return nullptr;
+  auto it =
+      rs_index_.find({deployment.name, model::GetRevision(deployment)});
+  if (it == rs_index_.end()) return nullptr;
+  return cache_.Get(*it->second.begin());
 }
 
 Duration DeploymentController::Reconcile(const std::string& deployment_name) {

@@ -11,8 +11,11 @@
 // configuration is not on the scaling critical path.
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "common/lane.h"
 #include "controllers/types.h"
@@ -36,7 +39,8 @@ class KD_LANE_OWNED(deployment) DeploymentController {
  private:
   Duration Reconcile(const std::string& deployment_name);
   void OnScaleMessage(const kubedirect::KdMessage& msg);
-  // Finds the ReplicaSet matching the deployment's current revision.
+  // Finds the ReplicaSet matching the deployment's current revision
+  // (the first in key order if several do).
   const model::ApiObject* FindReplicaSet(const model::ApiObject& deployment);
 
   runtime::Env& env_;
@@ -48,6 +52,10 @@ class KD_LANE_OWNED(deployment) DeploymentController {
   // direct messages; the API-server copy is guarded and stale).
   std::map<std::string, std::int64_t> desired_;
   std::map<std::string, std::int64_t> last_sent_;  // per ReplicaSet key
+  // (owner Deployment, revision) -> keys of the visible ReplicaSets
+  // carrying them, in key order; kept by the cache change handler.
+  std::map<std::pair<std::string, std::int64_t>, std::set<std::string>>
+      rs_index_;
 };
 
 }  // namespace kd::controllers

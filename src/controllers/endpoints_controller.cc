@@ -1,5 +1,8 @@
 #include "controllers/endpoints_controller.h"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "common/logging.h"
 #include "common/strings.h"
 #include "model/objects.h"
@@ -10,6 +13,45 @@ using model::ApiObject;
 using model::kKindEndpoints;
 using model::kKindPod;
 using model::kKindService;
+
+namespace {
+
+// Index of `ip` in the sorted address array, or where it belongs;
+// `found` tells which. Reads through a const view (no detach).
+std::size_t Locate(const model::Value& list, const std::string& ip,
+                   bool& found) {
+  const model::Value::Array& view = list.array();
+  auto pos = std::lower_bound(view.begin(), view.end(), ip,
+                              [](const model::Value& a, const std::string& b) {
+                                return a.as_string() < b;
+                              });
+  found = pos != view.end() && pos->as_string() == ip;
+  return static_cast<std::size_t>(pos - view.begin());
+}
+
+// Adds `ip` to the sorted address array; false if already present.
+// Writing detaches the array from the messages that share it.
+bool InsertAddress(model::Value& list, const std::string& ip) {
+  bool found = false;
+  const std::size_t i = Locate(list, ip, found);
+  if (found) return false;
+  model::Value::Array& array = list.array();
+  array.insert(array.begin() + static_cast<std::ptrdiff_t>(i),
+               model::Value(ip));
+  return true;
+}
+
+// Removes `ip` from the sorted address array; false if absent.
+bool EraseAddress(model::Value& list, const std::string& ip) {
+  bool found = false;
+  const std::size_t i = Locate(list, ip, found);
+  if (!found) return false;
+  model::Value::Array& array = list.array();
+  array.erase(array.begin() + static_cast<std::ptrdiff_t>(i));
+  return true;
+}
+
+}  // namespace
 
 EndpointsController::EndpointsController(runtime::Env& env, Mode mode)
     : env_(env),
@@ -72,8 +114,8 @@ EndpointsController::EndpointsController(runtime::Env& env, Mode mode)
 }
 
 void EndpointsController::AcceptDirectStream(net::ConnHandlePtr conn) {
-  conn->set_on_message([this](std::string payload) {
-    if (!harness_.crashed()) OnDirectMessage(payload);
+  conn->set_on_message([this](net::Frame frame) {
+    if (!harness_.crashed()) OnDirectMessage(frame.text());
   });
   net::ConnHandle* raw = conn.get();
   conn->set_on_disconnect([this, raw] {
@@ -94,7 +136,7 @@ void EndpointsController::OnDirectMessage(const std::string& payload) {
   const std::vector<std::string> parts = StrSplit(payload, ' ');
   if (parts.empty()) return;
   auto withdraw = [this](const std::string& service, const std::string& ip) {
-    if (addresses_[service].erase(ip) > 0) {
+    if (EraseAddress(addresses_[service], ip)) {
       harness_.loop().EnqueueAfter(service,
                                    env_.cost.kd_endpoint_stream_latency);
     }
@@ -105,7 +147,7 @@ void EndpointsController::OnDirectMessage(const std::string& payload) {
     const std::string& service = parts[3];
     const std::string& ip = parts[4];
     direct_eps_[node][pod_key] = {service, ip};
-    if (addresses_[service].insert(ip).second) {
+    if (InsertAddress(addresses_[service], ip)) {
       harness_.loop().EnqueueAfter(service,
                                    env_.cost.kd_endpoint_stream_latency);
     }
@@ -145,14 +187,14 @@ void EndpointsController::OnPodChange(const ApiObject* before,
   const std::string prev_ip = ready_ip(before);
   if (!prev_ip.empty()) {
     service = service_of(before);
-    if (!service.empty() && addresses_[service].erase(prev_ip) > 0) {
+    if (!service.empty() && EraseAddress(addresses_[service], prev_ip)) {
       changed = true;
     }
   }
   const std::string next_ip = ready_ip(after);
   if (!next_ip.empty()) {
     service = service_of(after);
-    if (!service.empty() && addresses_[service].insert(next_ip).second) {
+    if (!service.empty() && InsertAddress(addresses_[service], next_ip)) {
       changed = true;
     }
   }
@@ -169,15 +211,14 @@ void EndpointsController::OnPodChange(const ApiObject* before,
 std::vector<std::string> EndpointsController::AddressesFor(
     const std::string& service) const {
   auto it = addresses_.find(service);
-  if (it == addresses_.end()) return {};
-  return std::vector<std::string>(it->second.begin(), it->second.end());
+  return it == addresses_.end() ? std::vector<std::string>{}
+                                : model::AddressList(it->second);
 }
 
 Duration EndpointsController::Reconcile(const std::string& service_name) {
   const ApiObject* svc =
       cache_.Get(ApiObject::MakeKey(kKindService, service_name));
   if (svc == nullptr) return 0;
-  std::vector<std::string> addrs = AddressesFor(service_name);
 
   env_.metrics.MarkStart("endpoints", env_.engine.now());
   if (mode_ == Mode::kKd) {
@@ -185,21 +226,23 @@ Duration EndpointsController::Reconcile(const std::string& service_name) {
     if (downstream == nullptr || !downstream->ready()) {
       return 0;  // re-sent on_ready
     }
+    auto it = addresses_.find(service_name);
+    const model::Value list = it != addresses_.end() && it->second.is_array()
+                                  ? it->second
+                                  : model::Value::MakeArray();
     auto sent = last_sent_.find(service_name);
-    if (sent != last_sent_.end() && sent->second == addrs) return 0;
+    if (sent != last_sent_.end() && sent->second == list) return 0;
     kubedirect::KdMessage msg;
     msg.obj_key = ApiObject::MakeKey(kKindEndpoints, service_name);
-    model::Value list = model::Value::MakeArray();
-    for (const std::string& a : addrs) list.push_back(a);
-    msg.attrs.emplace("spec.addresses",
-                      kubedirect::KdValue::Literal(std::move(list)));
+    msg.attrs.emplace("spec.addresses", kubedirect::KdValue::Literal(list));
     downstream->SendUpsert(msg);
-    last_sent_[service_name] = std::move(addrs);
+    last_sent_[service_name] = list;
     env_.metrics.MarkStop("endpoints", env_.engine.now());
     return 0;
   }
 
   // K8s path: one Endpoints object write per batch window.
+  const std::vector<std::string> addrs = AddressesFor(service_name);
   const ApiObject* existing =
       cache_.Get(ApiObject::MakeKey(kKindEndpoints, service_name));
   if (existing != nullptr && model::GetEndpointsAddresses(*existing) == addrs) {

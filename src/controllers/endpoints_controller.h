@@ -18,7 +18,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -65,12 +64,15 @@ class KD_LANE_OWNED(endpoints) EndpointsController {
   runtime::ControllerHarness harness_;
   runtime::ObjectCache cache_;  // Services + Pods (+ Endpoints in K8s)
 
-  // service -> ready pod IPs, maintained incrementally by the pod
-  // change handler (reconcile publishes, it never re-scans pods).
-  std::map<std::string, std::set<std::string>> addresses_;
+  // service -> ready pod IPs as a sorted array of strings, maintained
+  // incrementally by the pod change handler and the direct stream
+  // (reconcile publishes, it never re-scans pods). The array is shared
+  // copy-on-write into every message that streams it, so sending and
+  // comparing an unchanged list costs a pointer copy.
+  std::map<std::string, model::Value> addresses_;
   // Kd: last address list streamed per service (level-triggered resend
   // after link resets).
-  std::map<std::string, std::vector<std::string>> last_sent_;
+  std::map<std::string, model::Value> last_sent_;
 
   // Direct-stream bookkeeping: node -> pod key -> (service, ip). A
   // node's entries are dropped wholesale on its "reset" (new kubelet

@@ -52,7 +52,9 @@ class KD_LANE_OWNED(kubeproxy) KubeProxy {
   runtime::ObjectCache ep_cache_;  // K8s: Endpoints (informer)
 
   Sink sink_;
-  std::map<std::string, std::vector<std::string>> table_;
+  // service -> address array, shared copy-on-write with the message or
+  // Endpoints object it came from (an update costs a pointer copy).
+  std::map<std::string, model::Value> table_;
 };
 
 }  // namespace kd::controllers

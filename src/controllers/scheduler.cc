@@ -13,6 +13,15 @@ using model::kKindNode;
 using model::kKindPod;
 using model::kKindReplicaSet;
 
+template <typename Change>
+void Scheduler::UpdateNode(const std::string& node_name, Change change) {
+  NodeMap::value_type& node = *nodes_.try_emplace(node_name).first;
+  NodeState& state = node.second;
+  if (state.placeable()) placement_index_.erase({state.cpu_allocated, &node});
+  change(state);
+  if (state.placeable()) placement_index_.insert({state.cpu_allocated, &node});
+}
+
 Scheduler::Scheduler(runtime::Env& env, Mode mode, SchedulerOptions options)
     : env_(env),
       mode_(mode),
@@ -33,8 +42,10 @@ Scheduler::Scheduler(runtime::Env& env, Mode mode, SchedulerOptions options)
     (void)key;
     (void)before;
     if (after == nullptr || after->kind != kKindNode) return;
+    const std::int64_t capacity = model::GetCpuMilli(*after);
+    UpdateNode(after->name,
+               [capacity](NodeState& s) { s.cpu_capacity = capacity; });
     NodeState& state = nodes_[after->name];
-    state.cpu_capacity = model::GetCpuMilli(*after);
     // A committed invalid mark newer than our own last Node write means
     // the Kubelet WILL drain when it observes it — either we restarted
     // and lost the cancel state, or one of our cancel writes committed
@@ -44,7 +55,7 @@ Scheduler::Scheduler(runtime::Env& env, Mode mode, SchedulerOptions options)
     if (mode_ == Mode::kKd && model::IsNodeInvalid(*after) &&
         !state.cancelled && !state.uncancel_inflight &&
         after->resource_version > state.last_node_write_rv) {
-      state.cancelled = true;
+      UpdateNode(after->name, [](NodeState& s) { s.cancelled = true; });
       harness_.SetDownstreamExempt(after->name, true);
       // Link already up: no handshake-ready will retrigger the clear.
       if (harness_.DownstreamReady(after->name)) UncancelNode(after->name);
@@ -66,13 +77,15 @@ Scheduler::Scheduler(runtime::Env& env, Mode mode, SchedulerOptions options)
     if (before != nullptr && before->kind == kKindPod) {
       const std::string node = model::GetNodeName(*before);
       if (!node.empty()) {
-        nodes_[node].cpu_allocated -= model::GetCpuMilli(*before);
+        const std::int64_t cpu = model::GetCpuMilli(*before);
+        UpdateNode(node, [cpu](NodeState& s) { s.cpu_allocated -= cpu; });
       }
     }
     if (after != nullptr && after->kind == kKindPod) {
       const std::string node = model::GetNodeName(*after);
       if (!node.empty()) {
-        nodes_[node].cpu_allocated += model::GetCpuMilli(*after);
+        const std::int64_t cpu = model::GetCpuMilli(*after);
+        UpdateNode(node, [cpu](NodeState& s) { s.cpu_allocated += cpu; });
       }
       // Unassigned pending pods need scheduling.
       if (model::GetNodeName(*after).empty() &&
@@ -133,6 +146,7 @@ Scheduler::Scheduler(runtime::Env& env, Mode mode, SchedulerOptions options)
       done(UnavailableError("scheduler crashed"));
     }
     pending_preemptions_.clear();
+    placement_index_.clear();
     nodes_.clear();
   });
 }
@@ -168,6 +182,17 @@ void Scheduler::EnsureKubeletLink(const std::string& node_name) {
     }
   };
   harness_.EnsureDownstream(node_name, std::move(spec));
+  nodes_[node_name].link = harness_.downstream(node_name);
+}
+
+std::vector<Scheduler::NodeView> Scheduler::NodeViews() const {
+  std::vector<NodeView> out;
+  out.reserve(nodes_.size());
+  for (const auto& [name, state] : nodes_) {
+    out.push_back({name, state.cpu_capacity, state.cpu_allocated,
+                   state.cancelled, state.draining});
+  }
+  return out;
 }
 
 std::int64_t Scheduler::AllocatedCpuOn(const std::string& node_name) const {
@@ -188,11 +213,11 @@ void Scheduler::OnReclaimNotice(const std::string& node_name,
   if (reclaim_at_ms == 0) {
     // Notice cleared: the machine was replaced (or the reclamation was
     // revoked) — the node takes pods again.
-    state.draining = false;
+    UpdateNode(node_name, [](NodeState& s) { s.draining = false; });
     return;
   }
   if (state.draining) return;  // refreshed deadline on an active drain
-  state.draining = true;
+  UpdateNode(node_name, [](NodeState& s) { s.draining = true; });
   env_.metrics.Count("nodes_draining");
   DrainNode(node_name);
 }
@@ -358,26 +383,22 @@ void Scheduler::ResolvePreemption(const std::string& pod_key, Status status) {
   done(status);
 }
 
-std::string Scheduler::PickNode(const ApiObject& pod, Duration& scan_cost) {
-  const std::int64_t cpu = model::GetCpuMilli(pod);
-  scan_cost = env_.cost.scheduler_per_node_scan *
-              static_cast<Duration>(std::max<std::size_t>(nodes_.size(), 1));
-  const NodeState* best = nullptr;
-  const std::string* best_name = nullptr;
-  for (const auto& [name, state] : nodes_) {
-    if (state.cancelled || state.draining || state.cpu_capacity <= 0) continue;
+std::string Scheduler::PickNode(std::int64_t cpu_milli) const {
+  // Index order is the preference order, so the first node that can
+  // take the pod is the answer.
+  for (const IndexKey& entry : placement_index_) {
+    const NodeState& state = entry.node->second;
     // Kd mode: never bind toward a Kubelet whose link is down or mid
     // handshake — the binding would be invisible to the in-flight
     // version comparison and the pod would strand until the next
     // failure. (K8s mode has no links; bindings go via the API.)
-    if (mode_ == Mode::kKd && !harness_.DownstreamReady(name)) continue;
-    if (state.cpu_allocated + cpu > state.cpu_capacity) continue;
-    if (best == nullptr || state.cpu_allocated < best->cpu_allocated) {
-      best = &state;
-      best_name = &name;
+    if (mode_ == Mode::kKd && (state.link == nullptr || !state.link->ready())) {
+      continue;
     }
+    if (state.cpu_allocated + cpu_milli > state.cpu_capacity) continue;
+    return entry.node->first;
   }
-  return best_name == nullptr ? "" : *best_name;
+  return "";
 }
 
 Duration Scheduler::Reconcile(const std::string& pod_key) {
@@ -388,8 +409,12 @@ Duration Scheduler::Reconcile(const std::string& pod_key) {
   if (harness_.tombstones().Has(pod_key)) return 0;
 
   env_.metrics.MarkStart("scheduler", env_.engine.now());
-  Duration scan_cost = 0;
-  const std::string node = PickNode(*pod, scan_cost);
+  const std::string node = PickNode(model::GetCpuMilli(*pod));
+  // Simulated cost: a linear scan of every node (the Fig. 11 effect),
+  // whatever the host-side index saves.
+  const Duration scan_cost =
+      env_.cost.scheduler_per_node_scan *
+      static_cast<Duration>(std::max<std::size_t>(nodes_.size(), 1));
   const Duration cost = scan_cost + env_.cost.scheduler_per_pod;
   if (node.empty()) {
     // No feasible node: retry under the assumption capacity frees up.
@@ -482,9 +507,8 @@ void Scheduler::Preempt(const std::string& pod_key,
 }
 
 void Scheduler::CancelNode(const std::string& node_name) {
-  NodeState& state = nodes_[node_name];
-  if (state.cancelled) return;
-  state.cancelled = true;
+  if (nodes_[node_name].cancelled) return;
+  UpdateNode(node_name, [](NodeState& s) { s.cancelled = true; });
   // An unreachable node no longer blocks the downstream-first gate.
   harness_.SetDownstreamExempt(node_name, true);
   // Mark the Node invalid through the API server: the Kubelet drains
@@ -544,7 +568,7 @@ void Scheduler::UncancelNode(const std::string& node_name) {
         if (!s.cancelled) return;  // re-cancelled while in flight
         if (result.ok()) {
           s.last_node_write_rv = result->resource_version;
-          s.cancelled = false;
+          UpdateNode(node_name, [](NodeState& n) { n.cancelled = false; });
           harness_.SetDownstreamExempt(node_name, false);
           // Unschedulable pods requeue themselves (Reconcile's 100ms
           // retry) — the freed node gets picked up there.

@@ -55,7 +55,24 @@ class KD_LANE_OWNED(scheduler) Scheduler {
   // automatically after repeated connect failures).
   void CancelNode(const std::string& node_name);
 
+  // The node a pod requesting `cpu_milli` goes to: the least-allocated
+  // placeable node with room, ties to the smallest name; "" if none
+  // fits. Reads the placement index (O(log M) when the least-allocated
+  // placeable node has room); Reconcile still charges the simulated
+  // scan of every node.
+  std::string PickNode(std::int64_t cpu_milli) const;
+
   // Observability.
+  // Per-node placement inputs (the index-equivalence tests rebuild
+  // PickNode's answer from these by a full scan).
+  struct NodeView {
+    std::string name;
+    std::int64_t cpu_capacity = 0;
+    std::int64_t cpu_allocated = 0;
+    bool cancelled = false;
+    bool draining = false;
+  };
+  std::vector<NodeView> NodeViews() const;
   std::int64_t AllocatedCpuOn(const std::string& node_name) const;
   // True while the node carries a reclaim notice: excluded from
   // placement, pods draining toward other nodes (scenario engine).
@@ -83,6 +100,28 @@ class KD_LANE_OWNED(scheduler) Scheduler {
     // lets the informer handler tell our own write echoes from invalid
     // marks we did not (knowingly) put there.
     std::uint64_t last_node_write_rv = 0;
+    // Kd mode: the harness-owned link to this node's Kubelet (null
+    // until EnsureKubeletLink; it lives until Crash, which also clears
+    // nodes_). Placement skips the node while the link is not ready.
+    kubedirect::HierarchyClient* link = nullptr;
+
+    // Takes pods, link readiness and room aside.
+    bool placeable() const {
+      return !cancelled && !draining && cpu_capacity > 0;
+    }
+  };
+  using NodeMap = std::map<std::string, NodeState>;
+  // Placement index entry: placeable nodes ordered by (allocation at
+  // insertion, name) — PickNode's preference order.
+  struct IndexKey {
+    std::int64_t cpu_allocated;
+    const NodeMap::value_type* node;
+    bool operator<(const IndexKey& other) const {
+      if (cpu_allocated != other.cpu_allocated) {
+        return cpu_allocated < other.cpu_allocated;
+      }
+      return node->first < other.node->first;
+    }
   };
 
   Duration Reconcile(const std::string& pod_key);
@@ -100,8 +139,11 @@ class KD_LANE_OWNED(scheduler) Scheduler {
   void OnReclaimNotice(const std::string& node_name,
                        std::int64_t reclaim_at_ms);
   void DrainNode(const std::string& node_name);
-  // Picks the least-allocated feasible node; returns "" if none fit.
-  std::string PickNode(const model::ApiObject& pod, Duration& scan_cost);
+  // Applies `change` to the node's state (creating it if new) and
+  // moves the node within the placement index to match. Every write of
+  // a field placeable() or the index order reads goes through here.
+  template <typename Change>
+  void UpdateNode(const std::string& node_name, Change change);
   void EnsureKubeletLink(const std::string& node_name);
   void OnPodMessage(const kubedirect::KdMessage& msg);
   void OnTombstone(const std::string& pod_key);
@@ -121,7 +163,9 @@ class KD_LANE_OWNED(scheduler) Scheduler {
 
   // Per-node scheduling state (capacity, allocation, cancellation).
   // The per-Kubelet HierarchyClients live in the harness fan-out.
-  std::map<std::string, NodeState> nodes_;
+  NodeMap nodes_;
+  // The placeable nodes of nodes_, in PickNode's preference order.
+  std::set<IndexKey> placement_index_;
   // Pods whose Upsert is between arrival and cache insertion (the
   // kd_materialize window); tombstones for them are deferred, not
   // answered as unknown.

@@ -14,8 +14,8 @@ void KdLink::Bind(std::function<void(WireMessage)> on_message,
   on_message_ = std::move(on_message);
   on_disconnect_ = std::move(on_disconnect);
   auto weak = weak_from_this();
-  conn_->set_on_message([weak](std::string payload) {
-    if (auto self = weak.lock()) self->OnPayload(std::move(payload));
+  conn_->set_on_message([weak](net::Frame frame) {
+    if (auto self = weak.lock()) self->OnFrame(std::move(frame));
   });
   conn_->set_on_disconnect([weak] {
     auto self = weak.lock();
@@ -62,45 +62,50 @@ void KdLink::Flush() {
     pending_.clear();
     return;
   }
-  std::string payload = SerializeBatch(pending_);
+  const std::size_t bytes = SerializedBatchSize(pending_);
   messages_sent_ += pending_.size();
-  bytes_sent_ += payload.size();
+  bytes_sent_ += bytes;
   if (metrics_) {
     metrics_->Count("kd_messages_sent",
                     static_cast<std::int64_t>(pending_.size()));
-    metrics_->Count("kd_bytes_sent",
-                    static_cast<std::int64_t>(payload.size()));
+    metrics_->Count("kd_bytes_sent", static_cast<std::int64_t>(bytes));
   }
+  net::Frame frame(std::move(pending_), bytes);
   pending_.clear();
   // Sender-side serialization: CPU work, so consecutive batches queue
   // behind each other — negligible for pointer-compressed messages,
   // the dominant cost in the full-object ablation (Fig. 14).
   const Duration ser = static_cast<Duration>(
-      static_cast<double>(payload.size()) * cost_.serialize_ns_per_byte);
+      static_cast<double>(bytes) * cost_.serialize_ns_per_byte);
   if (ser <= 0) {
-    conn_->Send(std::move(payload)).ok();  // failure == in-flight drop
+    conn_->Send(std::move(frame)).ok();  // failure == in-flight drop
     return;
   }
   const Time send_at = std::max(engine_.now(), egress_free_) + ser;
   egress_free_ = send_at;
   auto weak = weak_from_this();
-  engine_.ScheduleAt(send_at, [weak, payload = std::move(payload)]() mutable {
+  engine_.ScheduleAt(send_at, [weak, frame = std::move(frame)]() mutable {
     auto self = weak.lock();
     if (!self || self->closed_ || !self->connected()) return;
-    self->conn_->Send(std::move(payload)).ok();
+    self->conn_->Send(std::move(frame)).ok();
   });
 }
 
-void KdLink::OnPayload(std::string payload) {
-  StatusOr<std::vector<WireMessage>> batch = ParseBatch(payload);
-  if (!batch.ok()) {
-    KD_LOG(kWarning, "kdlink") << "dropping malformed batch: "
-                               << batch.status().ToString();
+void KdLink::OnFrame(net::Frame frame) {
+  std::vector<WireMessage>* batch = frame.get<std::vector<WireMessage>>();
+  if (batch == nullptr) {
+    KD_LOG(kWarning, "kdlink") << "dropping a frame that is not a batch";
     return;
+  }
+  for (WireMessage& msg : *batch) {
+    if (!NormalizeAsParsed(msg)) {
+      KD_LOG(kWarning, "kdlink") << "dropping malformed batch";
+      return;
+    }
   }
   // Receiver-side deserialization, amortized per message in the batch.
   const Duration deser = static_cast<Duration>(
-      static_cast<double>(payload.size()) * cost_.serialize_ns_per_byte /
+      static_cast<double>(frame.bytes()) * cost_.serialize_ns_per_byte /
       static_cast<double>(std::max<std::size_t>(batch->size(), 1)));
   for (auto& msg : *batch) {
     inbound_.push_back({std::move(msg), deser});

@@ -7,6 +7,12 @@
 // handshake traffic flushes immediately. Inbound batches are unpacked
 // and delivered one message at a time, each charged the per-message
 // processing cost, in FIFO order.
+//
+// The batch crosses the simulated connection as a structured frame:
+// the messages themselves, charged SerializedBatchSize(batch) bytes —
+// the length of SerializeBatch(batch), the wire format's definition.
+// The receiver gets each message as NormalizeAsParsed leaves it, i.e.
+// exactly what ParseBatch would return for the text.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +57,7 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
  private:
   void Flush();
   void ScheduleFlush();
-  void OnPayload(std::string payload);
+  void OnFrame(net::Frame frame);
   void DeliverNext();
 
   sim::Engine& engine_;

@@ -85,6 +85,170 @@ StatusOr<KdMessage> DecodeKdMessage(const model::Value& v) {
   return msg;
 }
 
+// Length of a compact-JSON rendering plus its '"'/'\\' byte count —
+// enough to size the rendering and, when it is itself embedded as a
+// JSON string, that string too.
+struct JsonSize {
+  std::size_t bytes = 0;
+  std::size_t escapes = 0;
+};
+
+JsonSize StringSize(const std::string& s) {
+  return {model::JsonStringSize(s), model::JsonStringEscapeCount(s)};
+}
+
+JsonSize ValueSize(const model::Value& v) {
+  return {v.SerializedSize(), v.SerializedEscapeCount()};
+}
+
+// The rendering embedded as a JSON string: surrounding quotes, and a
+// backslash before each '"' and '\\' (JSON text holds no raw control
+// bytes, so nothing else is escaped).
+JsonSize Nested(JsonSize text) {
+  return {text.bytes + 2 + text.escapes, 2 + 2 * text.escapes};
+}
+
+// Accumulates the members of a JSON object or array.
+class Composite {
+ public:
+  void Add(JsonSize v) {
+    if (count_++ > 0) ++size_.bytes;  // comma
+    size_.bytes += v.bytes;
+    size_.escapes += v.escapes;
+  }
+  void Add(const std::string& key, JsonSize v) {
+    Add(StringSize(key));
+    size_.bytes += 1 + v.bytes;  // colon
+    size_.escapes += v.escapes;
+  }
+  JsonSize Close() const { return {size_.bytes + 2, size_.escapes}; }
+
+ private:
+  std::size_t count_ = 0;
+  JsonSize size_;
+};
+
+JsonSize KdMessageSize(const KdMessage& msg) {
+  Composite attrs;
+  for (const auto& [path, value] : msg.attrs) {
+    Composite encoded;
+    if (value.is_pointer()) {
+      // "objKey#attrPath": the two strings share one pair of quotes.
+      const JsonSize key = StringSize(value.pointer().obj_key);
+      const JsonSize attr = StringSize(value.pointer().attr_path);
+      encoded.Add("p", {key.bytes + attr.bytes - 1,
+                        key.escapes + attr.escapes - 2});
+    } else {
+      encoded.Add("v", ValueSize(value.literal()));
+    }
+    attrs.Add(path, encoded.Close());
+  }
+  Composite out;
+  out.Add("a", attrs.Close());
+  out.Add("o", StringSize(msg.obj_key));
+  return out.Close();
+}
+
+JsonSize WireSize(const WireMessage& msg) {
+  Composite out;
+  out.Add("t", StringSize(TypeTag(msg.type)));
+  switch (msg.type) {
+    case WireMessage::Type::kUpsert:
+    case WireMessage::Type::kSoftInvalidate:
+      out.Add("m", KdMessageSize(msg.message));
+      break;
+    case WireMessage::Type::kRemove:
+    case WireMessage::Type::kTombstone:
+    case WireMessage::Type::kAck:
+      out.Add("k", StringSize(msg.key));
+      break;
+    case WireMessage::Type::kStateVersions: {
+      Composite v;
+      for (const auto& [k, hash] : msg.versions) {
+        v.Add(k, {model::JsonIntSize(static_cast<std::int64_t>(hash)), 0});
+      }
+      out.Add("v", v.Close());
+      break;
+    }
+    case WireMessage::Type::kStateRequest: {
+      Composite ks;
+      for (const auto& k : msg.keys) ks.Add(StringSize(k));
+      out.Add("K", ks.Close());
+      break;
+    }
+    case WireMessage::Type::kStateSnapshot: {
+      Composite os;
+      for (const auto& obj : msg.objects) {
+        os.Add(Nested({obj.SerializedSize(), obj.SerializedEscapeCount()}));
+      }
+      out.Add("O", os.Close());
+      break;
+    }
+  }
+  return out.Close();
+}
+
+bool HasDouble(const model::Value& v) {
+  switch (v.type()) {
+    case model::Value::Type::kDouble:
+      return true;
+    case model::Value::Type::kArray:
+      for (const model::Value& e : v.array()) {
+        if (HasDouble(e)) return true;
+      }
+      return false;
+    case model::Value::Type::kObject:
+      for (const auto& [k, e] : v.object()) {
+        if (HasDouble(e)) return true;
+      }
+      return false;
+    default:
+      return false;
+  }
+}
+
+// NormalizeAsParsed for one value: re-types the doubles whose text
+// parses back as an int; false on a double whose text does not parse.
+// Subtrees without doubles are left untouched (no copy-on-write
+// detach).
+bool NormalizeValue(model::Value& v) {
+  if (!HasDouble(v)) return true;
+  if (v.is_double()) {
+    StatusOr<model::Value> parsed = model::Value::Parse(v.Serialize());
+    if (!parsed.ok()) return false;
+    v = std::move(*parsed);
+    return true;
+  }
+  if (v.is_array()) {
+    for (model::Value& e : v.array()) {
+      if (!NormalizeValue(e)) return false;
+    }
+    return true;
+  }
+  for (auto& [k, e] : v.object()) {
+    if (!NormalizeValue(e)) return false;
+  }
+  return true;
+}
+
+bool NormalizeKdMessage(KdMessage& msg) {
+  for (auto& [path, value] : msg.attrs) {
+    if (value.is_pointer()) {
+      // The wire joins "objKey#attrPath"; the parser splits at the
+      // first '#'.
+      KdPointer& p = std::get<KdPointer>(value.repr);
+      const std::size_t hash_pos = p.obj_key.find('#');
+      if (hash_pos != std::string::npos) {
+        p.attr_path = p.obj_key.substr(hash_pos + 1) + "#" + p.attr_path;
+        p.obj_key.resize(hash_pos);
+      }
+    } else if (!NormalizeValue(std::get<model::Value>(value.repr))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* WireMessageTypeName(WireMessage::Type type) {
@@ -177,6 +341,51 @@ StatusOr<WireMessage> WireMessage::Parse(const std::string& text) {
       break;
   }
   return out;
+}
+
+std::size_t WireMessage::SerializedSize() const {
+  return WireSize(*this).bytes;
+}
+
+std::size_t SerializedBatchSize(const std::vector<WireMessage>& batch) {
+  Composite arr;
+  for (const auto& msg : batch) arr.Add(Nested(WireSize(msg)));
+  return arr.Close().bytes;
+}
+
+bool NormalizeAsParsed(WireMessage& msg) {
+  // Only the fields Serialize writes for this type survive the trip.
+  WireMessage out;
+  out.type = msg.type;
+  switch (msg.type) {
+    case WireMessage::Type::kUpsert:
+    case WireMessage::Type::kSoftInvalidate:
+      out.message = std::move(msg.message);
+      if (!NormalizeKdMessage(out.message)) return false;
+      break;
+    case WireMessage::Type::kRemove:
+    case WireMessage::Type::kTombstone:
+    case WireMessage::Type::kAck:
+      out.key = std::move(msg.key);
+      break;
+    case WireMessage::Type::kStateVersions:
+      out.versions = std::move(msg.versions);
+      break;
+    case WireMessage::Type::kStateRequest:
+      out.keys = std::move(msg.keys);
+      break;
+    case WireMessage::Type::kStateSnapshot:
+      out.objects = std::move(msg.objects);
+      for (model::ApiObject& obj : out.objects) {
+        if (!NormalizeValue(obj.metadata) || !NormalizeValue(obj.spec) ||
+            !NormalizeValue(obj.status)) {
+          return false;
+        }
+      }
+      break;
+  }
+  msg = std::move(out);
+  return true;
 }
 
 std::string SerializeBatch(const std::vector<WireMessage>& batch) {

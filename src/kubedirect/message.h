@@ -86,7 +86,9 @@ struct WireMessage {
 
   std::string Serialize() const;
   static StatusOr<WireMessage> Parse(const std::string& text);
-  std::size_t SerializedSize() const { return Serialize().size(); }
+  // Byte length of Serialize(), summed from the memoized sizes of the
+  // payload values instead of rendering the text.
+  std::size_t SerializedSize() const;
 };
 
 const char* WireMessageTypeName(WireMessage::Type type);
@@ -96,6 +98,16 @@ const char* WireMessageTypeName(WireMessage::Type type);
 // batching messages").
 std::string SerializeBatch(const std::vector<WireMessage>& batch);
 StatusOr<std::vector<WireMessage>> ParseBatch(const std::string& text);
+// Byte length of SerializeBatch(batch), computed without rendering it.
+std::size_t SerializedBatchSize(const std::vector<WireMessage>& batch);
+
+// Turns `msg` into exactly what WireMessage::Parse(msg.Serialize())
+// returns, without the text round trip: fields its type does not carry
+// are cleared, a pointer splits at its first '#', and literal doubles
+// take the type their text parses back to (an integral 5.0 arrives as
+// int 5). Returns false where Parse would fail (a non-finite double).
+// The simulated Kd link delivers structured batches through this.
+bool NormalizeAsParsed(WireMessage& msg);
 
 // --- message construction helpers -------------------------------------
 

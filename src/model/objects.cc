@@ -43,6 +43,13 @@ std::size_t ApiObject::SerializedSize() const {
          status.SerializedSize();
 }
 
+std::size_t ApiObject::SerializedEscapeCount() const {
+  // The six quoted root keys contribute 12 quotes.
+  return 12 + JsonStringEscapeCount(kind) + JsonStringEscapeCount(name) +
+         metadata.SerializedEscapeCount() + spec.SerializedEscapeCount() +
+         status.SerializedEscapeCount();
+}
+
 StatusOr<ApiObject> ApiObject::Parse(const std::string& text) {
   StatusOr<Value> root = Value::Parse(text);
   if (!root.ok()) return root.status();
@@ -420,13 +427,14 @@ void SetEndpointsAddresses(ApiObject& endpoints,
 }
 
 std::vector<std::string> GetEndpointsAddresses(const ApiObject& endpoints) {
-  std::vector<std::string> out;
   const Value* addrs = endpoints.spec.FindPath("addresses");
-  if (addrs == nullptr || !addrs->is_array()) return out;
-  out.reserve(addrs->size());
-  for (std::size_t i = 0; i < addrs->size(); ++i) {
-    out.push_back(addrs->at(i).as_string());
-  }
+  return addrs == nullptr ? std::vector<std::string>{} : AddressList(*addrs);
+}
+
+std::vector<std::string> AddressList(const Value& addresses) {
+  std::vector<std::string> out;
+  out.reserve(addresses.array().size());
+  for (const Value& a : addresses.array()) out.push_back(a.as_string());
   return out;
 }
 

@@ -57,6 +57,9 @@ struct ApiObject {
   // metadata/spec/status subtrees answer from their memoized sizes
   // instead of re-serializing ~17 KB per simulated network message.
   std::size_t SerializedSize() const;
+  // Number of '"' and '\\' bytes in Serialize() (see
+  // Value::SerializedEscapeCount), from the subtrees' memoized counts.
+  std::size_t SerializedEscapeCount() const;
 
   // Version tag for the handshake's first-round exchange: any unique
   // number identifying the content (§4.2 — "they can be any unique
@@ -165,6 +168,8 @@ ApiObject MakeEndpoints(const std::string& service_name,
 void SetEndpointsAddresses(ApiObject& endpoints,
                            const std::vector<std::string>& addresses);
 std::vector<std::string> GetEndpointsAddresses(const ApiObject& endpoints);
+// The elements of an address array as strings (empty for a non-array).
+std::vector<std::string> AddressList(const Value& addresses);
 // A Service selecting pods labelled app=<name> (one Service per FaaS
 // function; the name doubles as the selector).
 ApiObject MakeService(const std::string& name);

@@ -15,22 +15,26 @@ const Value::Object kEmptyObject;
 }  // namespace
 
 Value::Data& Value::MutableData() {
-  if (data_.use_count() > 1) data_ = std::make_shared<Data>(*data_);
+  if (data_->refs.shared()) {
+    Data* clone = new Data(*data_);
+    // Another owner may have let go meanwhile, leaving us the last.
+    if (data_->refs.Release()) delete data_;
+    data_ = clone;
+  }
   data_->cached_size = 0;
+  data_->cached_escapes = 0;
   return *data_;
 }
 
 Value::Data& Value::MutableDataAs(Type t) {
   if (type_ != t) {
+    Release();
     type_ = t;
-    bool_ = false;
-    int_ = 0;
-    double_ = 0.0;
     switch (t) {
-      case Type::kString: data_ = std::make_shared<Data>(std::string()); break;
-      case Type::kArray: data_ = std::make_shared<Data>(Array{}); break;
-      case Type::kObject: data_ = std::make_shared<Data>(Object{}); break;
-      default: data_.reset(); break;
+      case Type::kString: data_ = new Data(std::string()); break;
+      case Type::kArray: data_ = new Data(Array{}); break;
+      case Type::kObject: data_ = new Data(Object{}); break;
+      default: break;
     }
     return *data_;
   }
@@ -197,6 +201,28 @@ std::size_t EscapedJsonSize(const std::string& s) {
   return n;
 }
 
+// Number of '"' and '\\' bytes EscapeInto would produce: the two
+// quotes, both bytes of \" and \\, and the backslash of every other
+// escape.
+std::size_t EscapedJsonEscapeCount(const std::string& s) {
+  std::size_t n = 2;  // quotes
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      n += 2;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      n += 1;
+    }
+  }
+  return n;
+}
+
+// Stores `n` in a 32-bit memo slot (offset by `bias`, so a valid
+// value never reads as "not computed"); counts that do not fit stay
+// uncached.
+void Memoize(std::uint32_t& slot, std::size_t n, std::size_t bias) {
+  if (n + bias <= UINT32_MAX) slot = static_cast<std::uint32_t>(n + bias);
+}
+
 std::size_t IntJsonSize(std::int64_t v) {
   char buf[24];
   return static_cast<std::size_t>(
@@ -280,30 +306,44 @@ std::size_t Value::SerializedSize() const {
     case Type::kDouble:
       return DoubleJsonSize(double_);
     case Type::kString:
-      if (data_->cached_size == 0) {
-        data_->cached_size = EscapedJsonSize(data_->string);
-      }
-      return data_->cached_size;
     case Type::kArray:
-      if (data_->cached_size == 0) {
-        std::size_t n = 2;  // brackets
-        if (!data_->array.empty()) n += data_->array.size() - 1;  // commas
-        for (const Value& v : data_->array) n += v.SerializedSize();
-        data_->cached_size = n;
-      }
-      return data_->cached_size;
     case Type::kObject:
-      if (data_->cached_size == 0) {
-        std::size_t n = 2;  // braces
-        if (!data_->object.empty()) n += data_->object.size() - 1;  // commas
-        for (const auto& [k, v] : data_->object) {
-          n += EscapedJsonSize(k) + 1 + v.SerializedSize();  // key : value
-        }
-        data_->cached_size = n;
-      }
-      return data_->cached_size;
+      break;
   }
-  return 0;
+  if (data_->cached_size != 0) return data_->cached_size;
+  std::size_t n = 0;
+  if (type_ == Type::kString) {
+    n = EscapedJsonSize(data_->string);
+  } else if (type_ == Type::kArray) {
+    n = 2;  // brackets
+    if (!data_->array.empty()) n += data_->array.size() - 1;  // commas
+    for (const Value& v : data_->array) n += v.SerializedSize();
+  } else {
+    n = 2;  // braces
+    if (!data_->object.empty()) n += data_->object.size() - 1;  // commas
+    for (const auto& [k, v] : data_->object) {
+      n += EscapedJsonSize(k) + 1 + v.SerializedSize();  // key : value
+    }
+  }
+  Memoize(data_->cached_size, n, 0);
+  return n;
+}
+
+std::size_t Value::SerializedEscapeCount() const {
+  if (!has_payload()) return 0;  // scalars render without quotes
+  if (data_->cached_escapes != 0) return data_->cached_escapes - 1;
+  std::size_t n = 0;
+  if (type_ == Type::kString) {
+    n = EscapedJsonEscapeCount(data_->string);
+  } else if (type_ == Type::kArray) {
+    for (const Value& v : data_->array) n += v.SerializedEscapeCount();
+  } else {
+    for (const auto& [k, v] : data_->object) {
+      n += EscapedJsonEscapeCount(k) + v.SerializedEscapeCount();
+    }
+  }
+  Memoize(data_->cached_escapes, n, 1);
+  return n;
 }
 
 namespace {
@@ -484,6 +524,9 @@ StatusOr<Value> Value::Parse(const std::string& text) {
 
 std::size_t JsonStringSize(const std::string& s) { return EscapedJsonSize(s); }
 std::size_t JsonIntSize(std::int64_t v) { return IntJsonSize(v); }
+std::size_t JsonStringEscapeCount(const std::string& s) {
+  return EscapedJsonEscapeCount(s);
+}
 
 std::uint64_t Value::Hash() const {
   const std::string s = Serialize();
@@ -497,8 +540,8 @@ std::uint64_t Value::Hash() const {
 
 bool Value::operator==(const Value& other) const {
   // Shared payload node => structurally equal, no walk needed. (Scalars
-  // have no node; data_ is null for them, so this never misfires.)
-  if (data_ != nullptr && data_ == other.data_ && type_ == other.type_) {
+  // have no node, so they never take this path.)
+  if (has_payload() && type_ == other.type_ && data_ == other.data_) {
     return true;
   }
   if (type_ != other.type_) {

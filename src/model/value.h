@@ -31,45 +31,66 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "sim/seam_lock.h"
 
 namespace kd::model {
 
 class Value {
  public:
-  enum class Type { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
+  enum class Type : std::uint8_t {
+    kNull,
+    kBool,
+    kInt,
+    kDouble,
+    kString,
+    kArray,
+    kObject
+  };
 
   using Array = std::vector<Value>;
   // std::map keeps serialization deterministic (sorted keys).
   using Object = std::map<std::string, Value>;
 
-  Value() : type_(Type::kNull) {}
-  Value(std::nullptr_t) : type_(Type::kNull) {}
-  Value(bool b) : type_(Type::kBool), bool_(b) {}
+  Value() : type_(Type::kNull), int_(0) {}
+  Value(std::nullptr_t) : Value() {}
+  Value(bool b) : type_(Type::kBool), int_(0) { bool_ = b; }
   Value(int i) : type_(Type::kInt), int_(i) {}
   Value(std::int64_t i) : type_(Type::kInt), int_(i) {}
   Value(double d) : type_(Type::kDouble), double_(d) {}
-  Value(const char* s)
-      : type_(Type::kString), data_(std::make_shared<Data>(std::string(s))) {}
-  Value(std::string s)
-      : type_(Type::kString), data_(std::make_shared<Data>(std::move(s))) {}
-  Value(Array a)
-      : type_(Type::kArray), data_(std::make_shared<Data>(std::move(a))) {}
-  Value(Object o)
-      : type_(Type::kObject), data_(std::make_shared<Data>(std::move(o))) {}
+  Value(const char* s) : Value(std::string(s)) {}
+  Value(std::string s) : type_(Type::kString), data_(new Data(std::move(s))) {}
+  Value(Array a) : type_(Type::kArray), data_(new Data(std::move(a))) {}
+  Value(Object o) : type_(Type::kObject), data_(new Data(std::move(o))) {}
 
   // Copies share the payload node (O(1)); the first mutation through
-  // either copy detaches it.
-  Value(const Value&) = default;
-  Value(Value&&) = default;
-  Value& operator=(const Value&) = default;
-  Value& operator=(Value&&) = default;
+  // either copy detaches it. A moved-from Value is null.
+  Value(const Value& other) : type_(other.type_) {
+    CopyPayloadBits(other);
+    if (has_payload()) data_->refs.Acquire();
+  }
+  Value(Value&& other) noexcept : type_(other.type_) {
+    CopyPayloadBits(other);
+    other.type_ = Type::kNull;
+    other.int_ = 0;
+  }
+  Value& operator=(const Value& other) {
+    Value copy(other);
+    Swap(copy);
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    Value moved(std::move(other));
+    Swap(moved);
+    return *this;
+  }
+  ~Value() { Release(); }
 
   static Value MakeObject() { return Value(Object{}); }
   static Value MakeArray() { return Value(Array{}); }
@@ -87,7 +108,7 @@ class Value {
   // True when this value shares its payload node with another Value —
   // observability for the CoW tests; scalars are never shared.
   bool SharesPayloadWith(const Value& other) const {
-    return data_ != nullptr && data_ == other.data_;
+    return has_payload() && other.has_payload() && data_ == other.data_;
   }
 
   // Accessors assert-check the type in debug; in release, mismatched
@@ -148,6 +169,11 @@ class Value {
   // Memoized per payload node; every mutation invalidates the caches
   // along the mutated path.
   std::size_t SerializedSize() const;
+  // Number of '"' and '\\' bytes in Serialize() — the bytes that double
+  // when the serialization is itself embedded as a JSON string (the Kd
+  // wire nests each message's text inside its batch array, see
+  // kubedirect/message.h). Memoized like SerializedSize.
+  std::size_t SerializedEscapeCount() const;
   static StatusOr<Value> Parse(const std::string& text);
 
   // FNV-1a over the serialized form; the "any unique number" version
@@ -165,21 +191,57 @@ class Value {
                                                          const Value& after);
 
  private:
-  // Shared payload node. Exactly one of the three members is active,
-  // selected by the owning Value's type_. cached_size memoizes the
-  // subtree's compact-JSON length; 0 means "not computed" (no JSON
-  // rendering is ever empty, so 0 is never a valid length).
+  // Shared payload node, reference-counted by the Values that point at
+  // it (an intrusive count keeps a Value at 16 bytes — the handle every
+  // array element and object member pays). Exactly one of the three
+  // members is active, selected by the owning Value's type_.
+  // cached_size memoizes the subtree's compact-JSON length; 0 means
+  // "not computed" (no JSON rendering is ever empty, so 0 is never a
+  // valid length). cached_escapes memoizes SerializedEscapeCount() + 1
+  // (0 = not computed). A count that does not fit 32 bits is recomputed
+  // instead of cached.
   struct Data {
     explicit Data(std::string s) : string(std::move(s)) {}
     explicit Data(Array a) : array(std::move(a)) {}
     explicit Data(Object o) : object(std::move(o)) {}
-    Data(const Data&) = default;
+    // A detached clone: same content and caches, one owner.
+    Data(const Data& other)
+        : string(other.string),
+          array(other.array),
+          object(other.object),
+          cached_size(other.cached_size),
+          cached_escapes(other.cached_escapes) {}
 
     std::string string;
     Array array;
     Object object;
-    mutable std::size_t cached_size = 0;
+    mutable std::uint32_t cached_size = 0;
+    mutable std::uint32_t cached_escapes = 0;
+    sim::SeamRefCount refs;  // one owner at construction and on clone
   };
+
+  bool has_payload() const {
+    return type_ == Type::kString || type_ == Type::kArray ||
+           type_ == Type::kObject;
+  }
+  // The union's bytes, whichever member is active.
+  void CopyPayloadBits(const Value& other) {
+    std::memcpy(&int_, &other.int_, sizeof(int_));
+  }
+  void Swap(Value& other) noexcept {
+    std::swap(type_, other.type_);
+    std::int64_t bits;
+    std::memcpy(&bits, &int_, sizeof(bits));
+    CopyPayloadBits(other);
+    std::memcpy(&other.int_, &bits, sizeof(bits));
+  }
+  // Drops this Value's reference to its payload (freeing the node with
+  // the last one) and leaves the Value null.
+  void Release() {
+    if (has_payload() && data_->refs.Release()) delete data_;
+    type_ = Type::kNull;
+    int_ = 0;
+  }
 
   // Detach-on-write: clones the payload node if shared and invalidates
   // its size cache. Callers of mutable accessors reach their node
@@ -195,10 +257,12 @@ class Value {
                        std::vector<std::pair<std::string, Value>>& out);
 
   Type type_;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  double double_ = 0.0;
-  std::shared_ptr<Data> data_;  // set iff string/array/object
+  union {
+    bool bool_;
+    std::int64_t int_;  // spans the union (CopyPayloadBits)
+    double double_;
+    Data* data_;  // string/array/object
+  };
 };
 
 // Byte lengths of the compact-JSON renderings of a string (quoted and
@@ -206,5 +270,7 @@ class Value {
 // their wire size without serializing (see ApiObject::SerializedSize).
 std::size_t JsonStringSize(const std::string& s);
 std::size_t JsonIntSize(std::int64_t v);
+// Number of '"' and '\\' bytes in the rendering JsonStringSize measures.
+std::size_t JsonStringEscapeCount(const std::string& s);
 
 }  // namespace kd::model

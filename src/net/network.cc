@@ -27,15 +27,15 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool open() const { return open_; }
   const std::string& address(int side) const { return sides_[side].address; }
 
-  Status Send(int from_side, std::string payload) {
+  Status Send(int from_side, Frame frame) {
     if (!open_ || sides_[from_side].closed_seen) {
       return UnavailableError("connection closed");
     }
-    network_.AccountSend(payload.size());
+    network_.AccountSend(frame.bytes());
     const NetworkConfig& cfg = network_.config();
     Duration wire = cfg.latency;
     if (cfg.bytes_per_second > 0) {
-      wire += SecondsF(static_cast<double>(payload.size()) /
+      wire += SecondsF(static_cast<double>(frame.bytes()) /
                        cfg.bytes_per_second);
     }
     sim::Engine& engine = network_.engine();
@@ -58,7 +58,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
     const int to_side = 1 - from_side;
     engine.ScheduleSeamAt(
         to_lane, deliver_at,
-        [weak, to_side, payload = std::move(payload)]() mutable {
+        [weak, to_side, frame = std::move(frame)]() mutable {
           auto conn = weak.lock();
           if (!conn || !conn->open_) return;  // dropped in flight
           Side& side = conn->sides_[to_side];
@@ -67,12 +67,12 @@ class Connection : public std::enable_shared_from_this<Connection> {
           Endpoint* ep = net.Find(side.address);
           sim::LaneScope lane_scope(net.engine().lane_checker(),
                                     ep != nullptr ? ep->lane() : kNoLane);
-          if (side.on_message) side.on_message(std::move(payload));
+          if (side.on_message) side.on_message(std::move(frame));
         });
     return OkStatus();
   }
 
-  void SetOnMessage(int side, std::function<void(std::string)> cb) {
+  void SetOnMessage(int side, std::function<void(Frame)> cb) {
     sides_[side].on_message = std::move(cb);
   }
   void SetOnDisconnect(int side, std::function<void()> cb) {
@@ -131,7 +131,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   struct Side {
     std::string address;
-    std::function<void(std::string)> on_message;
+    std::function<void(Frame)> on_message;
     std::function<void()> on_disconnect;
     bool closed_seen = false;
     Time next_delivery_time = 0;
@@ -141,6 +141,14 @@ class Connection : public std::enable_shared_from_this<Connection> {
   Side sides_[2];
   bool open_ = true;
 };
+
+// --- Frame -----------------------------------------------------------
+
+const std::string& Frame::text() const {
+  static const std::string kEmpty;
+  const std::string* text = std::any_cast<std::string>(&body_);
+  return text != nullptr ? *text : kEmpty;
+}
 
 // --- ConnHandle ------------------------------------------------------
 
@@ -156,10 +164,10 @@ const std::string& ConnHandle::local_address() const {
 const std::string& ConnHandle::peer_address() const {
   return conn_->address(1 - side_);
 }
-Status ConnHandle::Send(std::string payload) {
-  return conn_->Send(side_, std::move(payload));
+Status ConnHandle::Send(Frame frame) {
+  return conn_->Send(side_, std::move(frame));
 }
-void ConnHandle::set_on_message(std::function<void(std::string)> cb) {
+void ConnHandle::set_on_message(std::function<void(Frame)> cb) {
   conn_->SetOnMessage(side_, std::move(cb));
 }
 void ConnHandle::set_on_disconnect(std::function<void()> cb) {

@@ -15,6 +15,7 @@
 // property tests drive it from a seeded RNG.
 #pragma once
 
+#include <any>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -35,6 +36,34 @@ namespace kd::net {
 class Endpoint;
 class Connection;
 
+// What one Send carries: a body plus the number of bytes it occupies on
+// the wire, which is what latency, bandwidth and accounting charge.
+// A text frame (line protocols) is charged its length. A structured
+// frame hands the receiver an object of the sender's choosing and is
+// charged the length of that object's defined encoding, which the
+// sender computes without producing it (the Kd link, see
+// kubedirect/link.h).
+class Frame {
+ public:
+  Frame(std::string text) : bytes_(text.size()), body_(std::move(text)) {}
+  Frame(const char* text) : Frame(std::string(text)) {}
+  template <typename T>
+  Frame(T body, std::size_t bytes) : bytes_(bytes), body_(std::move(body)) {}
+
+  std::size_t bytes() const { return bytes_; }
+  // The body if it is a T, else null.
+  template <typename T>
+  T* get() {
+    return std::any_cast<T>(&body_);
+  }
+  // The text of a text frame ("" for a structured one).
+  const std::string& text() const;
+
+ private:
+  std::size_t bytes_;
+  std::any body_;
+};
+
 // One side's view of an established bidirectional connection.
 class KD_LANE_SEAM ConnHandle {
  public:
@@ -44,14 +73,14 @@ class KD_LANE_SEAM ConnHandle {
   const std::string& local_address() const;
   const std::string& peer_address() const;
 
-  // Queues `payload` for ordered delivery to the peer. Fails with
+  // Queues `frame` for ordered delivery to the peer. Fails with
   // kUnavailable when the connection is already closed. The message may
   // still be lost if the connection closes before delivery — exactly
   // the TLA+ "inflight dropped on disconnect" semantics.
-  Status Send(std::string payload);
+  Status Send(Frame frame);
 
   // Delivery callback; invoked in FIFO order per direction.
-  void set_on_message(std::function<void(std::string)> cb);
+  void set_on_message(std::function<void(Frame)> cb);
   // Invoked once when the connection transitions to closed (from either
   // side or from a partition).
   void set_on_disconnect(std::function<void()> cb);

@@ -6,9 +6,10 @@
 // would break the deterministic-replay argument (sim/parallel.h). The
 // few pieces of genuinely shared state the parallel engine allows —
 // the cluster-wide MetricsRecorder, the network's connection registry
-// and byte counters, the API server's in-flight reply table — use
-// these wrappers instead. They are exactly a mutex and a relaxed
-// counter; the value of the indirection is that every cross-lane
+// and byte counters, the API server's in-flight reply table, the
+// shared payload nodes of model::Value — use these wrappers instead.
+// They are exactly a mutex, a relaxed counter and a reference count;
+// the value of the indirection is that every cross-lane
 // shared object is greppable and R9 keeps the set closed.
 //
 // Rule of use: a SeamLock may only guard state whose operations
@@ -57,6 +58,26 @@ class SeamCounter {
 
  private:
   std::atomic<std::uint64_t> v_{0};
+};
+
+// The reference count of a payload that values share across lanes (the
+// copy-on-write model::Value nodes): the atomic protocol of a
+// std::shared_ptr control block. Its outcomes — free on the last
+// release, detach a shared node before writing — move memory only,
+// never the simulated run.
+class SeamRefCount {
+ public:
+  SeamRefCount() = default;  // one owner
+  SeamRefCount(const SeamRefCount&) = delete;
+  SeamRefCount& operator=(const SeamRefCount&) = delete;
+
+  void Acquire() { n_.fetch_add(1, std::memory_order_relaxed); }
+  // True when the caller held the last reference.
+  bool Release() { return n_.fetch_sub(1, std::memory_order_acq_rel) == 1; }
+  bool shared() const { return n_.load(std::memory_order_acquire) > 1; }
+
+ private:
+  std::atomic<std::uint32_t> n_{1};
 };
 
 }  // namespace kd::sim

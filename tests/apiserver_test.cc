@@ -223,6 +223,75 @@ TEST_F(ApiServerTest, UnwatchStopsDelivery) {
   EXPECT_EQ(events, 1);
 }
 
+// Watchers live in per-kind buckets. A write must still reach the
+// watchers of its kind in registration order — filtered or not, with
+// other kinds registered in between, across Unwatch — and a crash must
+// break every stream in global registration order.
+TEST_F(ApiServerTest, KindBucketsKeepDeliveryAndBreakOrder) {
+  std::vector<std::string> log;
+  auto record = [&log](const std::string& who) {
+    return [&log, who](const WatchEvent& e) {
+      log.push_back(who + ":" + e.object.name);
+    };
+  };
+  auto broke = [&log](const std::string& who) {
+    return [&log, who] { log.push_back("break:" + who); };
+  };
+  auto named = [](const std::string& name) {
+    return [name](const ApiObject& obj) { return obj.name == name; };
+  };
+  // One write, delivered: the log of its deliveries in firing order.
+  auto write = [&](ApiObject obj) {
+    log.clear();
+    server_.SeedObject(std::move(obj));
+    engine_.Run();
+    return log;
+  };
+  auto pod = [](const std::string& name) {
+    ApiObject obj;
+    obj.kind = kKindPod;
+    obj.name = name;
+    return obj;
+  };
+  using Log = std::vector<std::string>;
+
+  const WatchId p1 =
+      server_.Watch(kKindPod, nullptr, record("p1"), broke("p1"));
+  server_.Watch(kKindDeployment, nullptr, record("d1"), broke("d1"));
+  server_.Watch(kKindPod, named("b"), record("p2"), broke("p2"));
+  server_.Watch(kKindDeployment, named("x"), record("d2"), broke("d2"));
+  server_.Watch(kKindPod, nullptr, record("p3"));  // no break handler
+  const WatchId n1 =
+      server_.Watch(model::kKindNode, nullptr, record("n1"), broke("n1"));
+
+  EXPECT_EQ(write(pod("a")), (Log{"p1:a", "p3:a"}));
+  EXPECT_EQ(write(NewDeployment("x", 1)), (Log{"d1:x", "d2:x"}));
+  EXPECT_EQ(write(pod("b")), (Log{"p1:b", "p2:b", "p3:b"}));
+  EXPECT_EQ(write(NewDeployment("y", 1)), (Log{"d1:y"}));
+
+  // Mid-stream Unwatch: a delivery already scheduled still lands; the
+  // next write skips the watcher. Emptying a bucket (n1) and unknown
+  // ids are harmless.
+  log.clear();
+  server_.SeedObject(pod("b"));
+  server_.Unwatch(p1);
+  server_.Unwatch(n1);
+  server_.Unwatch(9999);
+  engine_.Run();
+  EXPECT_EQ(log, (Log{"p1:b", "p2:b", "p3:b"}));
+  EXPECT_EQ(write(pod("b")), (Log{"p2:b", "p3:b"}));
+  EXPECT_EQ(write(NewDeployment("x", 2)), (Log{"d1:x", "d2:x"}));
+
+  // A late registration goes last in its bucket and in the break order.
+  server_.Watch(kKindPod, nullptr, record("p4"), broke("p4"));
+  EXPECT_EQ(write(pod("b")), (Log{"p2:b", "p3:b", "p4:b"}));
+  log.clear();
+  server_.Crash();
+  server_.SeedObject(pod("a"));  // store write while down: no watchers
+  engine_.Run();
+  EXPECT_EQ(log, (Log{"break:d1", "break:p2", "break:d2", "break:p4"}));
+}
+
 TEST_F(ApiServerTest, AdmissionHookCanReject) {
   server_.AddAdmissionHook(
       [](AdmissionOp op, const ApiObject*, const ApiObject* incoming) {

@@ -65,7 +65,7 @@ TEST_F(NetTest, MessagesArriveInOrder) {
   Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MustConnect(a, b);
   std::vector<std::string> received;
-  server->set_on_message([&](std::string m) { received.push_back(m); });
+  server->set_on_message([&](Frame f) { received.push_back(f.text()); });
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(client->Send("msg" + std::to_string(i)).ok());
   }
@@ -78,7 +78,7 @@ TEST_F(NetTest, LargeMessagesDontOvertakeSmallEarlierOnes) {
   Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MustConnect(a, b);
   std::vector<std::size_t> sizes;
-  server->set_on_message([&](std::string m) { sizes.push_back(m.size()); });
+  server->set_on_message([&](Frame f) { sizes.push_back(f.bytes()); });
   ASSERT_TRUE(client->Send(std::string(1 << 20, 'x')).ok());  // 1 MiB first
   ASSERT_TRUE(client->Send("tiny").ok());
   engine_.Run();
@@ -92,8 +92,8 @@ TEST_F(NetTest, BandwidthDelaysLargeMessages) {
   auto [client, server] = MustConnect(a, b);
   Time small_arrival = -1, large_arrival = -1;
   int count = 0;
-  server->set_on_message([&](std::string m) {
-    if (m.size() < 100) small_arrival = engine_.now();
+  server->set_on_message([&](Frame f) {
+    if (f.bytes() < 100) small_arrival = engine_.now();
     else large_arrival = engine_.now();
     ++count;
   });
@@ -113,11 +113,11 @@ TEST_F(NetTest, BidirectionalTraffic) {
   Endpoint a(network_, "a"), b(network_, "b");
   auto [client, server] = MustConnect(a, b);
   std::string got_at_server, got_at_client;
-  server->set_on_message([&](std::string m) {
-    got_at_server = m;
+  server->set_on_message([&](Frame f) {
+    got_at_server = f.text();
     server->Send("pong").ok();
   });
-  client->set_on_message([&](std::string m) { got_at_client = m; });
+  client->set_on_message([&](Frame f) { got_at_client = f.text(); });
   ASSERT_TRUE(client->Send("ping").ok());
   engine_.Run();
   EXPECT_EQ(got_at_server, "ping");
@@ -129,7 +129,7 @@ TEST_F(NetTest, CloseNotifiesPeerAndDropsInflight) {
   auto [client, server] = MustConnect(a, b);
   int server_received = 0;
   bool server_disconnected = false;
-  server->set_on_message([&](std::string) { ++server_received; });
+  server->set_on_message([&](Frame) { ++server_received; });
   server->set_on_disconnect([&] { server_disconnected = true; });
   ASSERT_TRUE(client->Send("inflight").ok());
   client->Close();  // closes before delivery latency elapses
@@ -219,7 +219,7 @@ TEST_F(NetTest, ReconnectAfterCrashWorks) {
   engine_.Run();
   auto [c2, s2] = MustConnect(a, b);
   std::string got;
-  s2->set_on_message([&](std::string m) { got = m; });
+  s2->set_on_message([&](Frame f) { got = f.text(); });
   ASSERT_TRUE(c2->Send("hello again").ok());
   engine_.Run();
   EXPECT_EQ(got, "hello again");
@@ -233,6 +233,27 @@ TEST_F(NetTest, AccountingCountsBytes) {
   engine_.Run();
   EXPECT_EQ(network_.total_messages(), 2u);
   EXPECT_EQ(network_.total_bytes(), 100u);
+}
+
+// A structured frame hands its body over untouched and is charged the
+// bytes its sender declared, not the size of the body object.
+TEST_F(NetTest, StructuredFrameChargesDeclaredBytes) {
+  Endpoint a(network_, "a"), b(network_, "b");
+  auto [client, server] = MustConnect(a, b);
+  std::vector<int> got;
+  std::size_t got_bytes = 0;
+  std::string got_text = "unset";
+  server->set_on_message([&](Frame f) {
+    if (auto* body = f.get<std::vector<int>>()) got = std::move(*body);
+    got_bytes = f.bytes();
+    got_text = f.text();
+  });
+  ASSERT_TRUE(client->Send(Frame(std::vector<int>{1, 2, 3}, 5000)).ok());
+  engine_.Run();
+  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(got_bytes, 5000u);
+  EXPECT_EQ(got_text, "");
+  EXPECT_EQ(network_.total_bytes(), 5000u);
 }
 
 TEST_F(NetTest, DuplicateAddressAsserts) {

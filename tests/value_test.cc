@@ -280,6 +280,30 @@ TEST(ValueCowTest, CopyShareThenWriteDetaches) {
   EXPECT_EQ(b["spec"]["replicas"].as_int(), 7);
 }
 
+// The handle is a type tag plus one 8-byte slot (scalar or payload
+// pointer): every array element and object member pays only this.
+TEST(ValueCowTest, HandleIsSixteenBytes) {
+  EXPECT_EQ(sizeof(Value), 16u);
+}
+
+TEST(ValueCowTest, MoveAndAssignmentKeepOwnershipStraight) {
+  Value a = Value::MakeArray();
+  a.push_back("x");
+  Value b = a;
+  Value moved = std::move(a);
+  EXPECT_TRUE(a.is_null());  // a moved-from Value is null
+  EXPECT_TRUE(moved.SharesPayloadWith(b));
+  moved = moved;  // self-assignment keeps the payload
+  EXPECT_EQ(moved.at(0).as_string(), "x");
+  b = Value(2.5);  // drops b's reference; `moved` still owns the node
+  EXPECT_TRUE(b.is_double());
+  moved.push_back("y");  // sole owner again: no detach needed
+  EXPECT_EQ(moved.Serialize(), "[\"x\",\"y\"]");
+  Value scalar = true;
+  scalar = moved;  // scalar -> shared payload
+  EXPECT_TRUE(scalar.SharesPayloadWith(moved));
+}
+
 TEST(ValueCowTest, ReadersNeverDetach) {
   Value a = Value::MakeObject();
   a["x"]["y"] = "deep";
