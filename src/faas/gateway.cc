@@ -141,23 +141,11 @@ void Gateway::Dispatch(FunctionState& state) {
   }
 }
 
-std::int64_t Gateway::Demand(const std::string& function) const {
+Gateway::Load Gateway::LoadOf(const std::string& function) const {
   auto it = functions_.find(function);
-  if (it == functions_.end()) return 0;
-  return it->second.executing +
-         static_cast<std::int64_t>(it->second.queue.size());
-}
-
-std::int64_t Gateway::Queued(const std::string& function) const {
-  auto it = functions_.find(function);
-  return it == functions_.end()
-             ? 0
-             : static_cast<std::int64_t>(it->second.queue.size());
-}
-
-std::int64_t Gateway::Executing(const std::string& function) const {
-  auto it = functions_.find(function);
-  return it == functions_.end() ? 0 : it->second.executing;
+  if (it == functions_.end()) return {};
+  return {static_cast<std::int64_t>(it->second.queue.size()),
+          it->second.executing};
 }
 
 std::vector<std::string> Gateway::Endpoints(const std::string& function) const {

@@ -47,10 +47,26 @@ class KD_LANE_OWNED(faas) Gateway {
   // instance).
   void Invoke(Invocation inv);
 
-  // Demand signal for the autoscaler: executing + queued requests.
-  std::int64_t Demand(const std::string& function) const;
-  std::int64_t Queued(const std::string& function) const;
-  std::int64_t Executing(const std::string& function) const;
+  // A function's open requests: queued for capacity and executing.
+  // The autoscaler reads both with one lookup per tick.
+  struct Load {
+    std::int64_t queued = 0;
+    std::int64_t executing = 0;
+  };
+  Load LoadOf(const std::string& function) const;
+  // Demand signal: executing + queued requests.
+  std::int64_t Demand(const std::string& function) const {
+    const Load load = LoadOf(function);
+    return load.queued + load.executing;
+  }
+  // Single-count views of LoadOf (the benchmark's conservation check
+  // reads them).
+  std::int64_t Queued(const std::string& function) const {
+    return LoadOf(function).queued;
+  }
+  std::int64_t Executing(const std::string& function) const {
+    return LoadOf(function).executing;
+  }
   std::size_t EndpointCount(const std::string& function) const;
   // Live (non-retired) instance addresses — what the gateway would
   // route to right now (the SloGuard's endpoint-staleness probe).

@@ -43,7 +43,8 @@ void AutoscalePolicy::Tick() {
 void AutoscalePolicy::Evaluate(const std::string& function,
                                FunctionState& state) {
   const Time now = engine_.now();
-  const std::int64_t demand = gateway_.Demand(function);
+  const Gateway::Load load = gateway_.LoadOf(function);
+  const std::int64_t demand = load.queued + load.executing;
   state.demand_window.emplace_back(now, demand);
   const Time horizon = now - params_.scale_down_window;
   while (!state.demand_window.empty() &&
@@ -57,7 +58,7 @@ void AutoscalePolicy::Evaluate(const std::string& function,
       (peak + state.concurrency - 1) / state.concurrency;
   // Panic: sustained queueing means upscaling is not keeping up —
   // overshoot to compensate (and pay for it in cold starts).
-  if (gateway_.Queued(function) > gateway_.Executing(function) &&
+  if (load.queued > load.executing &&
       params_.panic_factor > 1.0) {
     desired = static_cast<std::int64_t>(
         static_cast<double>(desired) * params_.panic_factor + 0.5);

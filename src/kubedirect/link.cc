@@ -130,7 +130,7 @@ void KdLink::DeliverNext() {
     }
     WireMessage msg = std::move(self->inbound_.front().first);
     self->inbound_.pop_front();
-    if (self->on_message_) self->on_message_(msg);
+    if (self->on_message_) self->on_message_(std::move(msg));
     self->DeliverNext();
   });
 }

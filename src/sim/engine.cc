@@ -138,11 +138,9 @@ std::uint64_t Engine::RunUntil(Time t) {
     FireSerial(q, fired);
     ++n;
   }
-  // Advance the clock to t even when no event fired there, keeping the
-  // wheel's bookkeeping (bucket retirement, overflow migration) in
-  // step with the jump. Skipped when the event limit tripped: events
-  // earlier than t are still pending, and the clock must not pass
-  // pending work.
+  // Advance the clock to t even when no event fired there. Skipped
+  // when the event limit tripped: events earlier than t are still
+  // pending, and the clock must not pass pending work.
   if (!stop_flag_.load(std::memory_order_relaxed) && !hit_event_limit_ &&
       q.now() < t) {
     q.AdvanceTo(t);

@@ -9,11 +9,11 @@
 // failure interleavings from a seed.
 //
 // The event store (one LaneQueue, see sim/lane_queue.h) is a
-// slot/generation arena plus a two-tier queue: closures constructed in
-// place in 64-byte slots, a timing wheel for the next 8192 ticks, and
-// a 4-ary overflow min-heap migrating into the wheel as the clock
-// advances. EventId encodes group+slot+generation, so Cancel is O(1)
-// and stale ids (fired, cancelled, recycled) safely return false.
+// slot/generation arena plus one 4-ary (time, seq) min-heap: closures
+// constructed in place in 64-byte slots, cancelled entries skimmed
+// lazily and compacted away once they outnumber live ones. EventId
+// encodes group+slot+generation, so Cancel is O(1) amortized and stale
+// ids (fired, cancelled, recycled) safely return false.
 //
 // PARALLEL MODE (ConfigureParallel): the engine partitions events into
 // per-lane-group queues that a worker pool executes concurrently

@@ -11,35 +11,23 @@ LaneQueue::~LaneQueue() {
   }
 }
 
-void LaneQueue::AppendToWheel(Time t, std::uint64_t seq,
-                              std::uint32_t slot) {
-  const std::size_t b = static_cast<std::size_t>(t) & kWheelMask;
-  wheel_[b].entries.push_back({seq, slot});
-  SetBit(b);
-}
-
 void LaneQueue::Arm(std::uint32_t index, Time t, std::uint64_t seq) {
   Slot& slot = SlotAt(index);
   assert(slot.armed);
   assert(!slot.queued);
   assert(t >= now_);
   slot.queued = true;
-  if (t - now_ < static_cast<Time>(kWheelSize)) {
-    AppendToWheel(t, seq, index);
-  } else {
-    heap_.push_back({t, seq, index});
-    SiftUp(heap_.size() - 1);
-  }
+  heap_.push_back({t, seq, index});
+  SiftUp(heap_.size() - 1);
   ++live_events_;
 }
 
-// The overflow heap is 4-ary: each sift level is a dependent cache
-// access, so halving the depth (log4 vs log2) roughly halves the
-// dependency chain while the four children sit in at most two cache
-// lines. Pop ORDER is unaffected by arity or sift strategy — Before()
-// is a strict total order (seq breaks all ties), so overflow entries
-// migrate into the wheel in exactly sorted (time, seq) order for any
-// valid heap shape.
+// The heap is 4-ary: each sift level is a dependent cache access, so
+// halving the depth (log4 vs log2) roughly halves the dependency chain
+// while the four children sit in at most two cache lines. Pop ORDER is
+// unaffected by arity or sift strategy — Before() is a strict total
+// order (seq breaks all ties), so entries pop in exactly sorted
+// (time, seq) order for any valid heap shape.
 void LaneQueue::SiftUp(std::size_t i) {
   const HeapEntry entry = heap_[i];
   while (i > 0) {
@@ -47,6 +35,27 @@ void LaneQueue::SiftUp(std::size_t i) {
     if (!Before(entry, heap_[parent])) break;
     heap_[i] = heap_[parent];
     i = parent;
+  }
+  heap_[i] = entry;
+}
+
+std::size_t LaneQueue::MinChild(std::size_t first, std::size_t n) const {
+  std::size_t best = first;
+  const std::size_t last = first + 4 < n ? first + 4 : n;
+  for (std::size_t c = first + 1; c < last; ++c) {
+    if (Before(heap_[c], heap_[best])) best = c;
+  }
+  return best;
+}
+
+void LaneQueue::SiftDown(std::size_t i) {
+  const std::size_t n = heap_.size();
+  const HeapEntry entry = heap_[i];
+  while (4 * i + 1 < n) {
+    const std::size_t best = MinChild(4 * i + 1, n);
+    if (!Before(heap_[best], entry)) break;
+    heap_[i] = heap_[best];
+    i = best;
   }
   heap_[i] = entry;
 }
@@ -64,14 +73,8 @@ void LaneQueue::PopTop() {
   // entry is almost always a recent, i.e. late, event, so the final
   // SiftUp is expected O(1).
   std::size_t hole = 0;
-  for (;;) {
-    const std::size_t first = 4 * hole + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = first + 4 < n ? first + 4 : n;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (Before(heap_[c], heap_[best])) best = c;
-    }
+  while (4 * hole + 1 < n) {
+    const std::size_t best = MinChild(4 * hole + 1, n);
     heap_[hole] = heap_[best];
     hole = best;
   }
@@ -80,120 +83,53 @@ void LaneQueue::PopTop() {
   SiftUp(hole);
 }
 
-std::size_t LaneQueue::NextOccupiedDistance() const {
-  const std::size_t cb = static_cast<std::size_t>(now_) & kWheelMask;
-  const std::size_t pos = (cb + 1) & kWheelMask;
-  std::size_t word = pos >> 6;
-  std::uint64_t w = occupied_[word] & (~std::uint64_t{0} << (pos & 63));
-  // One extra word pass covers the wrap back into the starting word.
-  for (std::size_t scanned = 0; scanned <= kWheelWords; ++scanned) {
-    while (w != 0) {
-      const std::size_t b =
-          (word << 6) +
-          static_cast<std::size_t>(__builtin_ctzll(w));
-      const std::size_t dist = (b - cb) & kWheelMask;
-      // dist == 0 is the current bucket's own (consumed) bit showing
-      // up at the end of the full circle — not a future event.
-      if (dist != 0) return dist;
-      w &= w - 1;
+void LaneQueue::Compact() {
+  std::size_t kept = 0;
+  for (const HeapEntry& e : heap_) {
+    if (SlotAt(e.slot).armed) {
+      heap_[kept++] = e;
+    } else {
+      ReleaseSlot(e.slot);
     }
-    word = (word + 1) & (kWheelWords - 1);
-    w = occupied_[word];
   }
-  return 0;
+  heap_.resize(kept);
+  assert(kept == live_events_);
+  // Floyd's heapify: sift down every parent, last first.
+  if (kept < 2) return;
+  for (std::size_t i = (kept - 2) / 4 + 1; i-- > 0;) SiftDown(i);
 }
 
 Time LaneQueue::PeekNextTime() {
-  // Skim dead (cancelled) entries at the current bucket's head; a live
-  // one means the next event is due right now.
-  Bucket& cur = wheel_[static_cast<std::size_t>(now_) & kWheelMask];
-  while (cur.head < cur.entries.size()) {
-    const BucketEntry e = cur.entries[cur.head];
-    if (SlotAt(e.slot).armed) return now_;
-    ++cur.head;
-    ReleaseSlot(e.slot);
-  }
-  // Skim dead overflow tops so heap_.front() is a live event.
+  // Skim dead (cancelled) tops so heap_.front() is a live event.
   while (!heap_.empty() && !SlotAt(heap_.front().slot).armed) {
     const std::uint32_t index = heap_.front().slot;
     PopTop();
     ReleaseSlot(index);
   }
-  Time next = kNoEvent;
-  const std::size_t dist = NextOccupiedDistance();
-  if (dist != 0) next = now_ + static_cast<Time>(dist);
-  if (!heap_.empty() &&
-      (next == kNoEvent || heap_.front().time < next)) {
-    next = heap_.front().time;
-  }
-  return next;
-}
-
-void LaneQueue::AdvanceTo(Time t) {
-  assert(t > now_);
-  // Retire the bucket the clock is leaving. Every bucket strictly
-  // between now_ and t is empty (PeekNextTime picked the minimum), so
-  // this is the only one to reset.
-  Bucket& cur = wheel_[static_cast<std::size_t>(now_) & kWheelMask];
-  assert(cur.head == cur.entries.size());
-  cur.entries.clear();
-  cur.head = 0;
-  ClearBit(static_cast<std::size_t>(now_) & kWheelMask);
-  now_ = t;
-  // Migrate overflow events whose time just entered the horizon. The
-  // heap pops in (time, seq) order and any future in-horizon schedule
-  // for those ticks gets a larger seq, so each bucket stays appended
-  // in seq order — the global fire order remains sorted (time, seq).
-  while (!heap_.empty() &&
-         heap_.front().time - now_ < static_cast<Time>(kWheelSize)) {
-    const HeapEntry e = heap_.front();
-    PopTop();
-    if (!SlotAt(e.slot).armed) {
-      ReleaseSlot(e.slot);
-      continue;
-    }
-    AppendToWheel(e.time, e.seq, e.slot);
-  }
+  return heap_.empty() ? kNoEvent : heap_.front().time;
 }
 
 bool LaneQueue::PopDue(Time limit, Fired& out) {
-  for (;;) {
-    const Time next = PeekNextTime();
-    // next can name a bucket holding only cancelled entries (the
-    // occupancy bitmap cannot see armedness), so the limit check must
-    // gate every lap, not just the first: draining such a bucket loops
-    // back here, and the following live event may lie beyond `limit`.
-    if (next == kNoEvent || next > limit) return false;
-    if (next != now_) AdvanceTo(next);
-    Bucket& bucket = wheel_[static_cast<std::size_t>(now_) & kWheelMask];
-    while (bucket.head < bucket.entries.size()) {
-      const BucketEntry e = bucket.entries[bucket.head];
-      ++bucket.head;
-      Slot& slot = SlotAt(e.slot);
-      if (!slot.armed) {  // cancelled after the peek, or a dead entry
-        ReleaseSlot(e.slot);
-        continue;
-      }
-      // Disarm and bump the generation here, before the caller
-      // invokes, so a Cancel(id) or stale-id probe from inside the
-      // closure sees "already fired". The slot is not on the free list
-      // yet, so nothing the closure schedules can recycle it
-      // mid-invocation, and chunked storage keeps its address stable
-      // while the arena grows.
-      out.slot = e.slot;
-      out.seq = e.seq;
-      out.generation = slot.generation;
-      slot.armed = false;
-      slot.queued = false;
-      ++slot.generation;
-      assert(live_events_ > 0);
-      --live_events_;
-      return true;
-    }
-    // The bucket the peek steered us into held only dead entries (all
-    // cancelled between peek and here, or a fully-cancelled far
-    // bucket); look again.
-  }
+  const Time next = PeekNextTime();
+  if (next == kNoEvent || next > limit) return false;
+  const std::uint32_t index = heap_.front().slot;
+  out.slot = index;
+  out.seq = heap_.front().seq;
+  PopTop();
+  now_ = next;
+  // Disarm and bump the generation here, before the caller invokes, so
+  // a Cancel(id) or stale-id probe from inside the closure sees
+  // "already fired". The slot is not on the free list yet, so nothing
+  // the closure schedules can recycle it mid-invocation, and chunked
+  // storage keeps its address stable while the arena grows.
+  Slot& slot = SlotAt(index);
+  out.generation = slot.generation;
+  slot.armed = false;
+  slot.queued = false;
+  ++slot.generation;
+  assert(live_events_ > 0);
+  --live_events_;
+  return true;
 }
 
 }  // namespace kd::sim

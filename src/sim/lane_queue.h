@@ -1,19 +1,20 @@
-// One event queue: a slot/generation arena plus a two-tier timing
-// structure. The serial Engine owns exactly one of these; the parallel
+// One event queue: a slot/generation arena plus a 4-ary (time, seq)
+// min-heap. The serial Engine owns exactly one of these; the parallel
 // engine owns one per lane group and executes them concurrently
 // between barrier epochs (see sim/parallel.h).
 //
-// The data structure is the one PR 1 built (and the file comment in
-// engine.h documents): closures stored in place in 64-byte slots that
-// live in address-stable chunks, a timing wheel covering the next 8192
-// ticks with an occupancy bitmap, and a 4-ary overflow min-heap whose
-// entries migrate into the wheel exactly when the advancing clock
-// brings them inside the horizon. Fire order is exactly sorted
-// (time, seq) for whatever seq values the caller arms events with —
-// the queue does not assign sequence numbers itself. That split is
-// what the parallel engine exploits: during an epoch it executes
-// events against tentative orderings and lets the barrier replay
-// assign the globally-serial seq to each spawn (sim/parallel.h).
+// Closures are stored in place in 64-byte slots that live in
+// address-stable chunks; the heap holds (time, seq, slot) entries.
+// Cancel disarms the slot and leaves its entry to skim lazily when it
+// reaches the top; once dead entries outnumber live ones (above a
+// small floor) the heap is compacted in one O(n) pass, so cancel churn
+// stays amortized O(1) and the heap stays within about 2x the live
+// events. Fire order is exactly sorted (time, seq) for whatever seq
+// values the caller arms events with — the queue does not assign
+// sequence numbers itself. That split is what the parallel engine
+// exploits: during an epoch it executes events against tentative
+// orderings and lets the barrier replay assign the globally-serial seq
+// to each spawn (sim/parallel.h).
 #pragma once
 
 #include <cassert>
@@ -41,11 +42,9 @@ class LaneQueue {
   static constexpr std::size_t kSlotChunkShift = 8;
   static constexpr std::size_t kSlotChunkSize = std::size_t{1}
                                                 << kSlotChunkShift;
-  // Timing wheel: one bucket per tick, covering [now, now + kWheelSize).
-  static constexpr std::size_t kWheelBits = 13;
-  static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
-  static constexpr std::size_t kWheelMask = kWheelSize - 1;
-  static constexpr std::size_t kWheelWords = kWheelSize / 64;
+  // Dead (cancelled) heap entries tolerated before a compaction pass;
+  // past this floor the heap compacts once they outnumber live ones.
+  static constexpr std::size_t kCompactFloor = 64;
   static constexpr Time kNoEvent = -1;
 
   struct Slot {
@@ -58,10 +57,10 @@ class LaneQueue {
     LaneId lane = kNoLane;    // lane the event executes in
     LaneId origin = kNoLane;  // lane of the scheduling context
     bool armed = false;
-    // True while a queue entry (wheel/heap) references the slot. An
-    // armed slot without one is a parallel-epoch spawn the barrier
-    // replay has not inserted yet; Cancel uses the flag to keep the
-    // live-event count exact (only queued events were counted).
+    // True while a heap entry references the slot. An armed slot
+    // without one is a parallel-epoch spawn the barrier replay has not
+    // inserted yet; Cancel uses the flag to keep the live-event count
+    // exact (only queued events were counted).
     bool queued = false;
   };
 
@@ -77,7 +76,7 @@ class LaneQueue {
     std::uint32_t generation = 0;  // pre-bump value, for the EventId
   };
 
-  LaneQueue() : wheel_(kWheelSize), occupied_(kWheelWords, 0) {}
+  LaneQueue() = default;
   ~LaneQueue();
   LaneQueue(const LaneQueue&) = delete;
   LaneQueue& operator=(const LaneQueue&) = delete;
@@ -85,6 +84,10 @@ class LaneQueue {
   Time now() const { return now_; }
   std::size_t live_events() const { return live_events_; }
   bool has_slot(std::uint32_t i) const { return i < slot_count_; }
+  // Arena slots ever allocated and heap entries held (live + dead):
+  // the queue's memory footprint, for tests.
+  std::size_t slot_count() const { return slot_count_; }
+  std::size_t heap_entries() const { return heap_.size(); }
 
   Slot& SlotAt(std::uint32_t i) {
     return chunks_[i >> kSlotChunkShift][i & (kSlotChunkSize - 1)];
@@ -149,41 +152,36 @@ class LaneQueue {
   void Arm(std::uint32_t index, Time t, std::uint64_t seq);
 
   // Disarms a cancelled event that held a queue entry (drops the
-  // live-event count; the entry itself skims lazily).
+  // live-event count; the entry itself skims lazily, or goes in the
+  // next compaction).
   void NoteCancelledQueued() {
     assert(live_events_ > 0);
     --live_events_;
+    const std::size_t dead = heap_.size() - live_events_;
+    if (dead > kCompactFloor && dead > live_events_) Compact();
   }
 
   // Skims dead (cancelled) entries, then returns the time of the next
-  // queued event without firing or advancing the clock (kNoEvent if
-  // none). The returned time can name a bucket holding only cancelled
-  // entries — the occupancy bitmap cannot see armedness — so callers
-  // loop.
+  // live queued event without firing or advancing the clock (kNoEvent
+  // if none).
   Time PeekNextTime();
 
-  // Advances the clock to t (t > now()): retires the current bucket
-  // and migrates overflow events whose time entered the wheel horizon.
-  void AdvanceTo(Time t);
+  // Advances the clock to t (t > now()). No live event may be queued
+  // before t.
+  void AdvanceTo(Time t) {
+    assert(t > now_);
+    now_ = t;
+  }
 
-  // Pops the next queued event with time <= limit, advancing the clock
-  // to its time. A false return means no queued live event is due by
-  // `limit` (the clock may still have advanced through buckets that
-  // held only cancelled entries). See Fired for the post-conditions.
+  // Pops the next live queued event with time <= limit, advancing the
+  // clock to its time. A false return means none is due by `limit`.
+  // See Fired for the post-conditions.
   bool PopDue(Time limit, Fired& out);
 
  private:
-  struct BucketEntry {
-    std::uint64_t seq;  // tie-break: FIFO at equal times
-    std::uint32_t slot;
-  };
-  struct Bucket {
-    std::vector<BucketEntry> entries;
-    std::size_t head = 0;  // next unconsumed entry
-  };
   struct HeapEntry {
     Time time;
-    std::uint64_t seq;
+    std::uint64_t seq;  // tie-break: FIFO at equal times
     std::uint32_t slot;
   };
 
@@ -191,29 +189,21 @@ class LaneQueue {
     return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
 
-  void SetBit(std::size_t b) {
-    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  }
-  void ClearBit(std::size_t b) {
-    occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-  }
-
-  void AppendToWheel(Time t, std::uint64_t seq, std::uint32_t slot);
-  // Ring distance (1..kWheelSize-1) from now_ to the next occupied
-  // bucket, or 0 when the wheel holds no other bucket.
-  std::size_t NextOccupiedDistance() const;
-
+  // Index of the least of the (up to four) children starting at
+  // `first`, among the first n entries.
+  std::size_t MinChild(std::size_t first, std::size_t n) const;
   void SiftUp(std::size_t i);
+  void SiftDown(std::size_t i);
   void PopTop();
+  // Drops every dead entry (recycling its slot) and re-heapifies.
+  void Compact();
 
   Time now_ = 0;
   std::size_t live_events_ = 0;
   std::size_t slot_count_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<Bucket> wheel_;
-  std::vector<std::uint64_t> occupied_;
-  std::vector<HeapEntry> heap_;  // overflow: time >= now_ + kWheelSize
+  std::vector<HeapEntry> heap_;
 };
 
 }  // namespace kd::sim

@@ -1,6 +1,7 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "sim/engine.h"
 
@@ -206,7 +207,10 @@ void Engine::RunGroupEpoch(int group) {
     const bool from_staged = !has_q || (has_s && g.staged.top().time < qt);
     if (!from_staged) {
       LaneQueue::Fired f;
-      if (!q.PopDue(ps.epoch_end - 1, f)) continue;  // dead bucket drained
+      // Cannot fail: the peek skimmed the heap to a live top due
+      // before epoch_end.
+      [[maybe_unused]] const bool popped = q.PopDue(ps.epoch_end - 1, f);
+      assert(popped);
       LaneQueue::Slot& slot = q.SlotAt(f.slot);
       const std::uint32_t rec =
           static_cast<std::uint32_t>(g.records.size());

@@ -30,7 +30,7 @@ TEST_F(GatewayTest, DispatchesToFreeInstance) {
   gateway_.RegisterFunction(Fn("f"));
   gateway_.UpdateEndpoints("f", {"10.0.0.1"});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(10)});
-  EXPECT_EQ(gateway_.Executing("f"), 1);
+  EXPECT_EQ(gateway_.LoadOf("f").executing, 1);
   engine_.Run();
   ASSERT_EQ(gateway_.records().size(), 1u);
   const RequestRecord& r = gateway_.records()[0];
@@ -44,9 +44,13 @@ TEST_F(GatewayTest, QueuesWhenNoCapacity) {
   gateway_.UpdateEndpoints("f", {"a"});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(100)});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(100)});
-  EXPECT_EQ(gateway_.Executing("f"), 1);
-  EXPECT_EQ(gateway_.Queued("f"), 1);
+  EXPECT_EQ(gateway_.LoadOf("f").executing, 1);
+  EXPECT_EQ(gateway_.LoadOf("f").queued, 1);
   EXPECT_EQ(gateway_.Demand("f"), 2);
+  EXPECT_EQ(gateway_.Queued("f"), 1);
+  EXPECT_EQ(gateway_.Executing("f"), 1);
+  EXPECT_EQ(gateway_.LoadOf("unknown").queued, 0);
+  EXPECT_EQ(gateway_.LoadOf("unknown").executing, 0);
   engine_.Run();
   ASSERT_EQ(gateway_.records().size(), 2u);
   // Second request waited for the first to finish.
@@ -60,14 +64,14 @@ TEST_F(GatewayTest, ConcurrencySharesInstance) {
   gateway_.UpdateEndpoints("f", {"a"});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(50)});
   gateway_.Invoke({"f", engine_.now(), Milliseconds(50)});
-  EXPECT_EQ(gateway_.Executing("f"), 2);
-  EXPECT_EQ(gateway_.Queued("f"), 0);
+  EXPECT_EQ(gateway_.LoadOf("f").executing, 2);
+  EXPECT_EQ(gateway_.LoadOf("f").queued, 0);
 }
 
 TEST_F(GatewayTest, NewEndpointDrainsQueue) {
   gateway_.RegisterFunction(Fn("f"));
   gateway_.Invoke({"f", engine_.now(), Milliseconds(10)});
-  EXPECT_EQ(gateway_.Queued("f"), 1);
+  EXPECT_EQ(gateway_.LoadOf("f").queued, 1);
   engine_.RunFor(Milliseconds(30));  // cold wait
   gateway_.UpdateEndpoints("f", {"a"});
   engine_.Run();
@@ -83,7 +87,8 @@ TEST_F(GatewayTest, RetiredInstanceTakesNoNewWorkButDrains) {
   gateway_.UpdateEndpoints("f", {});  // scaled to zero
   EXPECT_EQ(gateway_.EndpointCount("f"), 0u);
   gateway_.Invoke({"f", engine_.now(), Milliseconds(10)});
-  EXPECT_EQ(gateway_.Queued("f"), 1);  // not routed to the retired one
+  // Not routed to the retired one.
+  EXPECT_EQ(gateway_.LoadOf("f").queued, 1);
   engine_.Run();
   // First request completed on the draining instance.
   ASSERT_GE(gateway_.records().size(), 1u);
@@ -96,8 +101,9 @@ TEST_F(GatewayTest, LeastLoadedRouting) {
   for (int i = 0; i < 4; ++i) {
     gateway_.Invoke({"f", engine_.now(), Seconds(1)});
   }
-  EXPECT_EQ(gateway_.Executing("f"), 4);
-  EXPECT_EQ(gateway_.Queued("f"), 0);  // spread 2+2 across instances
+  EXPECT_EQ(gateway_.LoadOf("f").executing, 4);
+  // Spread 2+2 across instances.
+  EXPECT_EQ(gateway_.LoadOf("f").queued, 0);
 }
 
 TEST_F(GatewayTest, OnQueuedFires) {
