@@ -385,8 +385,8 @@ void ApiServer::HandleListAt(
   // Response size is the whole collection — the expensive part of a
   // relist, which is why informers avoid them.
   std::size_t response_bytes = 64;
-  for (const auto& [key, obj] : store_) {
-    if (obj.kind == kind) response_bytes += obj.SerializedSize();
+  for (auto [it, last] = KindRange(kind); it != last; ++it) {
+    response_bytes += it->second.SerializedSize();
   }
   // Snapshot at commit time (server-side), deliver after response
   // latency; the snapshot is shared between the two closures.
@@ -395,8 +395,8 @@ void ApiServer::HandleListAt(
   Serve(
       flow, kind.size() + 64, response_bytes, /*is_write=*/false,
       [this, kind, snapshot, at_revision]() -> CommitResult {
-        for (const auto& [key, obj] : store_) {
-          if (obj.kind == kind) snapshot->push_back(obj);
+        for (auto [it, last] = KindRange(kind); it != last; ++it) {
+          snapshot->push_back(it->second);
         }
         *at_revision = revision_;
         return {OkStatus(), {}};
@@ -444,8 +444,8 @@ const model::ApiObject* ApiServer::Peek(const std::string& kind,
 std::vector<const model::ApiObject*> ApiServer::PeekAll(
     const std::string& kind) const {
   std::vector<const model::ApiObject*> out;
-  for (const auto& [key, obj] : store_) {
-    if (obj.kind == kind) out.push_back(&obj);
+  for (auto [it, last] = KindRange(kind); it != last; ++it) {
+    out.push_back(&it->second);
   }
   return out;
 }
@@ -453,10 +453,16 @@ std::vector<const model::ApiObject*> ApiServer::PeekAll(
 std::map<std::string, std::uint64_t> ApiServer::VersionMap(
     const std::string& kind) const {
   std::map<std::string, std::uint64_t> out;
-  for (const auto& [key, obj] : store_) {
-    if (obj.kind == kind) out.emplace(key, obj.resource_version);
+  for (auto [it, last] = KindRange(kind); it != last; ++it) {
+    out.emplace_hint(out.end(), it->first, it->second.resource_version);
   }
   return out;
+}
+
+ApiServer::StoreRange ApiServer::KindRange(const std::string& kind) const {
+  // '0' is the character after '/': ["Kind/", "Kind0") holds exactly the
+  // keys prefixed "Kind/".
+  return {store_.lower_bound(kind + '/'), store_.lower_bound(kind + '0')};
 }
 
 void ApiServer::SeedObject(model::ApiObject obj) {

@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apiserver/apf.h"
@@ -224,9 +225,18 @@ class KD_LANE_OWNED(apiserver) ApiServer {
 
   void Broadcast(WatchEventType type, const model::ApiObject& obj);
 
+  using Store = std::map<std::string, model::ApiObject>;  // key -> object
+  using StoreRange = std::pair<Store::const_iterator, Store::const_iterator>;
+  // The stored objects of `kind`, in key order. Keys are "Kind/name"
+  // (kinds contain no '/') and store_ is sorted, so a kind occupies one
+  // contiguous key range: List/PeekAll/VersionMap cost O(kind
+  // population), not O(store) — M kubelets each listing Pods at boot
+  // would otherwise each walk all M Nodes.
+  StoreRange KindRange(const std::string& kind) const;
+
   sim::Engine& engine_;
   CostModel cost_;
-  std::map<std::string, model::ApiObject> store_;  // key -> object
+  Store store_;
   std::uint64_t revision_ = 0;
 
   std::vector<Time> worker_free_;  // min element = next available worker

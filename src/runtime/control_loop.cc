@@ -4,8 +4,13 @@ namespace kd::runtime {
 
 ControlLoop::ControlLoop(sim::Engine& engine, const CostModel& cost,
                          std::string name, MetricsRecorder* metrics)
-    : engine_(engine), cost_(cost), name_(std::move(name)),
-      metrics_(metrics), tracker_(metrics, name_ + ".active") {}
+    : engine_(engine),
+      cost_(cost),
+      name_(std::move(name)),
+      reconcile_metric_(name_ + ".reconcile"),
+      depth_max_metric_(name_ + ".queue_depth_max"),
+      metrics_(metrics),
+      tracker_(metrics, name_ + ".active") {}
 
 void ControlLoop::Enqueue(const std::string& key) {
   if (queued_keys_.count(key)) return;
@@ -15,7 +20,7 @@ void ControlLoop::Enqueue(const std::string& key) {
   if (queue_.size() > depth_max_) {
     depth_max_ = queue_.size();
     if (metrics_) {
-      metrics_->RecordMax(name_ + ".queue_depth_max",
+      metrics_->RecordMax(depth_max_metric_,
                           static_cast<std::int64_t>(depth_max_));
     }
   }
@@ -56,7 +61,7 @@ void ControlLoop::Dispatch(std::uint64_t generation) {
   ++processed_;
   const Duration busy = cost_.reconcile_base + extra;
   busy_until_ = engine_.now() + busy;
-  if (metrics_) metrics_->AddBusy(name_ + ".reconcile", busy);
+  if (metrics_) metrics_->AddBusy(reconcile_metric_, busy);
   // The item stays "active" until its busy window ends.
   const std::uint64_t gen = generation_;
   engine_.ScheduleAt(busy_until_, [this, gen] {

@@ -70,6 +70,9 @@ class KD_LANE_SEAM ControlLoop {
   sim::Engine& engine_;
   const CostModel& cost_;
   std::string name_;
+  // "<name>.reconcile" / "<name>.queue_depth_max", built once.
+  std::string reconcile_metric_;
+  std::string depth_max_metric_;
   MetricsRecorder* metrics_;
   Reconciler reconcile_;
   std::deque<std::string> queue_;

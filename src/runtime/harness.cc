@@ -357,6 +357,7 @@ void ControllerHarness::Crash() {
   }
   dynamic_downstreams_.clear();
   downstream_exempt_.clear();
+  unsettled_.clear();
   if (static_downstream_) {
     static_downstream_->Stop();
     static_downstream_.reset();
@@ -374,14 +375,22 @@ void ControllerHarness::EnsureDownstream(const std::string& id,
   if (slot) return;
   // The gate re-evaluates whenever a fan-out link completes its
   // handshake; policy logic runs after (Listen is synchronous, so the
-  // relative order is unobservable).
+  // relative order is unobservable). Both link transitions refresh the
+  // link's entry in the unsettled set first.
   auto user_ready = spec.callbacks.on_ready;
   spec.callbacks.on_ready =
-      [this, user_ready](const kubedirect::ChangeSet& changes) {
+      [this, id, user_ready](const kubedirect::ChangeSet& changes) {
+        UpdateSettled(id);
         MaybeStartUpstream();
         if (user_ready) user_ready(changes);
       };
+  auto user_down = spec.callbacks.on_down;
+  spec.callbacks.on_down = [this, id, user_down] {
+    UpdateSettled(id);
+    if (user_down) user_down();
+  };
   slot = MakeClient(std::move(spec));
+  UpdateSettled(id);
   slot->Start();
 }
 
@@ -400,6 +409,7 @@ bool ControllerHarness::DownstreamReady(const std::string& id) const {
 void ControllerHarness::SetDownstreamExempt(const std::string& id,
                                             bool exempt) {
   downstream_exempt_[id] = exempt;
+  UpdateSettled(id);
 }
 
 bool ControllerHarness::DownstreamExempt(const std::string& id) const {
@@ -407,13 +417,18 @@ bool ControllerHarness::DownstreamExempt(const std::string& id) const {
   return it != downstream_exempt_.end() && it->second;
 }
 
-bool ControllerHarness::DownstreamsSettled() const {
-  if (!baseline_synced_) return false;
-  for (const auto& [id, client] : dynamic_downstreams_) {
-    if (DownstreamExempt(id)) continue;
-    if (!client || !client->ready()) return false;
+void ControllerHarness::UpdateSettled(const std::string& id) {
+  auto it = dynamic_downstreams_.find(id);
+  if (it != dynamic_downstreams_.end() && !DownstreamExempt(id) &&
+      !(it->second && it->second->ready())) {
+    unsettled_.insert(id);
+  } else {
+    unsettled_.erase(id);
   }
-  return true;
+}
+
+bool ControllerHarness::DownstreamsSettled() const {
+  return baseline_synced_ && unsettled_.empty();
 }
 
 void ControllerHarness::MaybeStartUpstream() {

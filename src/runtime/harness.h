@@ -219,6 +219,8 @@ class KD_LANE_SEAM ControllerHarness {
   std::unique_ptr<kubedirect::HierarchyClient> MakeClient(DownstreamSpec spec);
   void OnStaticLinkReady(const kubedirect::ChangeSet& changes);
   void OnStaticLinkDown();
+  // Re-derives whether dynamic downstream `id` is in unsettled_.
+  void UpdateSettled(const std::string& id);
 
   // Raw-watch fault lifecycle, per shard: (re-)register the watch on
   // that shard (retrying while it is down), optionally relist that
@@ -255,6 +257,13 @@ class KD_LANE_SEAM ControllerHarness {
   std::map<std::string, std::unique_ptr<kubedirect::HierarchyClient>>
       dynamic_downstreams_;
   std::map<std::string, bool> downstream_exempt_;
+  // Dynamic downstreams that block the §4.2 gate: not exempt and not
+  // ready. Kept current at every transition — EnsureDownstream, the
+  // link's on_ready/on_down, SetDownstreamExempt, Crash (links are
+  // never removed one by one) — so the gate, evaluated on every
+  // fan-out handshake, is O(1) instead of a walk over all M links.
+  // Membership-only; never iterated.
+  std::unordered_set<std::string> unsettled_;
 
   std::vector<std::string> deferred_keys_;
   std::unordered_set<std::string> deferred_set_;

@@ -2,8 +2,13 @@
 // concurrency, watch pub-sub, admission control, and cost accounting.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "apiserver/apiserver.h"
 #include "apiserver/client.h"
+#include "apiserver/shard.h"
 #include "model/objects.h"
 
 namespace kd::apiserver {
@@ -375,6 +380,146 @@ TEST_F(ApiServerTest, SeedObjectBypassesCosts) {
   ASSERT_NE(obj, nullptr);
   EXPECT_EQ(model::GetReplicas(*obj), 7);
   EXPECT_EQ(engine_.now(), 0);  // no simulated time passed
+}
+
+// --- kind-range scans ----------------------------------------------------
+
+// A store holding all six kinds, thousands of Nodes, and names chosen
+// to sort right next to other kinds' keys and to the "Kind/" range
+// bounds ('.' < '/' < '0').
+std::vector<ApiObject> MixedStore() {
+  const std::vector<std::string> edge_names = {
+      "", "-", ".", "/", "0", "Node", "Pod", "Pod/", "ReplicaSet", "Service",
+      "a", "zzz", "~"};
+  std::vector<ApiObject> objects;
+  for (int i = 0; i < 3000; ++i) {
+    objects.push_back(model::MakeNode("node-" + std::to_string(i),
+                                      1000 + i % 7, 1024));
+  }
+  for (const std::string& name : edge_names) {
+    objects.push_back(model::MakeNode(name, 1000, 1024));
+    objects.push_back(MakeDeployment(name, 1, MinimalPodTemplateSpec(name)));
+    objects.push_back(model::MakeReplicaSet(name, name, 1, 1,
+                                            MinimalPodTemplateSpec(name)));
+    objects.push_back(model::MakeService(name));
+    objects.push_back(model::MakeEndpoints(name, {"10.0.0.1"}));
+    ApiObject pod;
+    pod.kind = kKindPod;
+    pod.name = name;
+    model::SetPodPhase(pod, model::PodPhase::kPending);
+    objects.push_back(std::move(pod));
+  }
+  for (int i = 0; i < 40; ++i) {
+    ApiObject pod;
+    pod.kind = kKindPod;
+    pod.name = "pod-" + std::to_string(i);
+    objects.push_back(std::move(pod));
+  }
+  return objects;
+}
+
+const std::vector<std::string>& AllKinds() {
+  static const std::vector<std::string> kinds = {
+      model::kKindDeployment, model::kKindReplicaSet, model::kKindPod,
+      model::kKindNode,       model::kKindEndpoints,  model::kKindService};
+  return kinds;
+}
+
+// key -> object, for every object seeded into one store.
+using Seeded = std::map<std::string, ApiObject>;
+
+// Brute force: a whole-store filter on obj.kind, in key order, read
+// back by point lookup (so it sees the versions the server assigned).
+template <typename Store>
+std::vector<const ApiObject*> BruteForceKind(const Store& store,
+                                             const Seeded& seeded,
+                                             const std::string& kind) {
+  std::vector<const ApiObject*> out;
+  for (const auto& [key, obj] : seeded) {
+    if (obj.kind != kind) continue;
+    const ApiObject* stored = store.Peek(obj.kind, obj.name);
+    EXPECT_NE(stored, nullptr) << key;
+    if (stored != nullptr) out.push_back(stored);
+  }
+  return out;
+}
+
+// Asserts List (objects, order, revision, charged response bytes),
+// PeekAll and VersionMap of every kind on `server` against the brute
+// force over `seeded`, the objects seeded into this server.
+void ExpectKindRangesMatch(sim::Engine& engine, ApiServer& server,
+                           const Seeded& seeded) {
+  for (const std::string& kind : AllKinds()) {
+    SCOPED_TRACE(kind);
+    const std::vector<const ApiObject*> expected =
+        BruteForceKind(server, seeded, kind);
+    std::size_t expected_bytes = 64;
+    std::map<std::string, std::uint64_t> expected_versions;
+    for (const ApiObject* obj : expected) {
+      expected_bytes += obj->SerializedSize();
+      expected_versions.emplace(obj->Key(), obj->resource_version);
+    }
+
+    EXPECT_EQ(server.PeekAll(kind), expected);
+    EXPECT_EQ(server.VersionMap(kind), expected_versions);
+
+    const std::int64_t bytes_before =
+        server.metrics().GetCount("api_bytes_out");
+    StatusOr<std::vector<ApiObject>> listed = InternalError("never");
+    std::uint64_t at_revision = 0;
+    server.HandleListAt(kind, [&](StatusOr<std::vector<ApiObject>> r,
+                                  std::uint64_t revision) {
+      listed = std::move(r);
+      at_revision = revision;
+    });
+    engine.Run();
+    ASSERT_TRUE(listed.ok());
+    EXPECT_EQ(at_revision, server.revision());
+    EXPECT_EQ(server.metrics().GetCount("api_bytes_out") - bytes_before,
+              static_cast<std::int64_t>(expected_bytes));
+    ASSERT_EQ(listed->size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ((*listed)[i].Key(), expected[i]->Key());
+      EXPECT_EQ((*listed)[i].resource_version, expected[i]->resource_version);
+    }
+  }
+}
+
+TEST_F(ApiServerTest, ListScansOnlyItsKindRange) {
+  Seeded seeded;
+  for (ApiObject& obj : MixedStore()) {
+    seeded.emplace(obj.Key(), obj);
+    server_.SeedObject(std::move(obj));
+  }
+  ASSERT_EQ(server_.object_count(), seeded.size());
+  ExpectKindRangesMatch(engine_, server_, seeded);
+
+  // The same through the control plane: each shard's scans against
+  // the keys routed to it, and the merged peeks against all of them.
+  for (int num_shards : {1, 4}) {
+    SCOPED_TRACE(num_shards);
+    sim::Engine engine;
+    ControlPlane plane(engine, CostModel::Default(), num_shards);
+    std::vector<Seeded> routed(static_cast<std::size_t>(num_shards));
+    for (ApiObject& obj : MixedStore()) {
+      const int shard = plane.router().ShardForKey(obj.Key());
+      routed[static_cast<std::size_t>(shard)].emplace(obj.Key(), obj);
+      plane.SeedObject(std::move(obj));
+    }
+    for (int s = 0; s < num_shards; ++s) {
+      ExpectKindRangesMatch(engine, plane.shard(s),
+                            routed[static_cast<std::size_t>(s)]);
+    }
+    for (const std::string& kind : AllKinds()) {
+      std::map<std::string, std::uint64_t> expected_versions;
+      for (const ApiObject* obj : BruteForceKind(plane, seeded, kind)) {
+        expected_versions.emplace(obj->Key(), obj->resource_version);
+      }
+      EXPECT_EQ(plane.PeekAll(kind), BruteForceKind(plane, seeded, kind))
+          << kind;
+      EXPECT_EQ(plane.VersionMap(kind), expected_versions) << kind;
+    }
+  }
 }
 
 // --- client rate limiting ------------------------------------------------

@@ -1,11 +1,16 @@
 // Tests for the shared ControllerHarness substrate every narrow-waist
 // controller runs on: crash/restart epoch invalidation, declarative
 // wiring (SyncKind / WatchFiltered), §4.2 pause-during-handshake and
-// downstream-first gating, and deferred-reconcile replay.
+// downstream-first gating (including the tracked settled gate against a
+// brute-force scan), and deferred-reconcile replay.
 #include "runtime/harness.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -272,6 +277,121 @@ TEST_P(HarnessTest, DownstreamFirstUpstreamWaitsForBaseline) {
   parent.MaybeStartUpstream();
   engine_.RunFor(Seconds(10));
   EXPECT_TRUE(child.link_ready());
+}
+
+// DownstreamsSettled() is tracked incrementally. A seeded walk over
+// every transition that can move it — links created, handshakes
+// completing, peer crashes and partitions dropping links, exempt flips,
+// the baseline flag, the owner's own crash and restart — checks it
+// after every engine event against a brute-force scan over
+// DownstreamReady/DownstreamExempt.
+TEST_P(HarnessTest, SettledGateMatchesBruteForceScan) {
+  constexpr std::size_t kPeers = 5;
+  for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    auto pick = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    // A fresh simulation per seed: harnesses die at the end of each
+    // walk, and their pending events must die with them.
+    sim::Engine engine;
+    net::Network network(engine);
+    apiserver::ApiServer server(engine, cost_);
+    apiserver::ControlPlane plane(server);
+    MetricsRecorder metrics;
+    Env env{engine, network, plane, cost_, metrics};
+
+    ControllerHarness owner(env, mode(), Opts("owner"));
+    ServeNoneUpstream(owner, /*downstream_first=*/true);
+    std::vector<std::unique_ptr<ControllerHarness>> peers;
+    std::vector<std::string> ids;
+    for (std::size_t i = 0; i < kPeers; ++i) {
+      ids.push_back("peer" + std::to_string(i));
+      peers.push_back(
+          std::make_unique<ControllerHarness>(env, mode(), Opts(ids.back())));
+      ServeNoneUpstream(*peers.back());
+      peers.back()->Start();
+    }
+    ids.push_back("ghost");  // no peer listens there: never ready
+    std::vector<bool> partitioned(kPeers, false);
+
+    // The brute-force model: links ensured this owner session (they die
+    // with its Crash) and the baseline flag (Start clears it for a
+    // downstream-first upstream).
+    std::set<std::string> ensured;
+    bool baseline = false;
+    owner.Start();
+    auto brute_force = [&] {
+      if (!baseline) return false;
+      for (const std::string& id : ensured) {
+        if (!owner.DownstreamExempt(id) && !owner.DownstreamReady(id)) {
+          return false;
+        }
+      }
+      return true;
+    };
+
+    for (int op = 0; op < 400; ++op) {
+      const std::size_t which = pick(ids.size());
+      const std::string& id = ids[which];
+      const std::size_t peer = which % kPeers;
+      const std::string peer_address = "kd.test." + ids[peer];
+      switch (pick(7)) {
+        case 0:
+        case 1: {
+          if (owner.crashed()) break;
+          ControllerHarness::DownstreamSpec spec;
+          spec.peer = "kd.test." + id;
+          spec.kind_filter = "__none__";
+          ensured.insert(id);
+          owner.EnsureDownstream(id, std::move(spec));
+          break;
+        }
+        case 2:
+          if (peers[peer]->crashed()) {
+            peers[peer]->Restart();
+          } else {
+            peers[peer]->Crash();
+          }
+          break;
+        case 3:
+          if (partitioned[peer]) {
+            network.Heal("kd.test.owner", peer_address);
+          } else {
+            network.Partition("kd.test.owner", peer_address);
+          }
+          partitioned[peer] = !partitioned[peer];
+          break;
+        case 4:
+          if (owner.crashed()) break;
+          owner.SetDownstreamExempt(id, pick(2) == 0);
+          break;
+        case 5:
+          if (owner.crashed()) break;
+          baseline = pick(3) != 0;
+          owner.SetBaselineSynced(baseline);
+          owner.MaybeStartUpstream();
+          break;
+        case 6:
+          if (pick(4) != 0) break;  // rarer: the owner's own crash
+          if (owner.crashed()) {
+            owner.Restart();
+            baseline = false;
+          } else {
+            owner.Crash();
+            ensured.clear();
+          }
+          break;
+      }
+      ASSERT_EQ(owner.DownstreamsSettled(), brute_force()) << "op " << op;
+      const std::size_t steps = 1 + pick(60);
+      for (std::size_t i = 0; i < steps && engine.Step(); ++i) {
+        ASSERT_EQ(owner.DownstreamsSettled(), brute_force())
+            << "op " << op << " step " << i;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, HarnessTest,
