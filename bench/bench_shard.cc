@@ -186,6 +186,9 @@ BENCHMARK_CAPTURE(BM_Shard, Kd, kd::controllers::Mode::kKd)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void WriteJson(const char* path) {
+  // A --benchmark_filter that matched nothing leaves the last record
+  // in place instead of overwriting it with an empty one.
+  if (Results().empty()) return;
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path);

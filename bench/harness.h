@@ -25,7 +25,7 @@ namespace kd::bench {
 // --- phase timing + engine counters -------------------------------------
 // Host wall-clock phase split (setup = construct+boot+register, run =
 // the measured experiment, teardown = scrape + destruction) plus the
-// parallel-engine counters, recorded into every BENCH_*.json so perf
+// engine's event count, recorded into every BENCH_*.json so perf
 // regressions are attributable to a phase, not just a total. bench/ is
 // outside the kdlint sweep scope (src/ only): steady_clock here times
 // the host, never the simulation.
@@ -50,37 +50,13 @@ class PhaseClock {
   std::chrono::steady_clock::time_point last_;
 };
 
-// The engine's parallel-execution counters (zeros on a serial run):
-// worker threads actually used, barrier epochs executed, the mean
-// conservative lookahead per epoch, and the algorithmic-speedup
-// ceiling the lane partition admits — processed / critical-path events
-// — which is host-core independent (the honest headline on 1-core
-// hosts; see EXPERIMENTS.md).
+// The engine's counters: events processed over the run.
 struct EngineStats {
-  int threads_used = 1;
-  int lane_groups = 0;  // 0 = serial engine
-  std::uint64_t epochs_executed = 0;
-  double mean_lookahead_us = 0;
   std::uint64_t processed_events = 0;
-  std::uint64_t critical_path_events = 0;
-  double AlgorithmicSpeedup() const {
-    return critical_path_events == 0
-               ? 1.0
-               : static_cast<double>(processed_events) /
-                     static_cast<double>(critical_path_events);
-  }
 };
 
 inline EngineStats CaptureEngineStats(const sim::Engine& engine) {
-  EngineStats s;
-  s.threads_used = engine.threads_used();
-  s.lane_groups = engine.parallel() ? engine.num_groups() : 0;
-  s.epochs_executed = engine.epochs_executed();
-  s.mean_lookahead_us =
-      engine.mean_lookahead() / static_cast<double>(Microseconds(1));
-  s.processed_events = engine.processed_events();
-  s.critical_path_events = engine.critical_path_events();
-  return s;
+  return EngineStats{engine.processed_events()};
 }
 
 // JSON object fragments shared by every bench writer (no trailing
@@ -91,16 +67,8 @@ inline std::string PhasesJson(const PhaseTimes& t) {
 }
 
 inline std::string EngineStatsJson(const EngineStats& s) {
-  return StrFormat(
-      "{\"threads_used\": %d, \"lane_groups\": %d, "
-      "\"epochs_executed\": %llu, \"mean_lookahead_us\": %.1f, "
-      "\"processed_events\": %llu, \"critical_path_events\": %llu, "
-      "\"algorithmic_speedup\": %.2f}",
-      s.threads_used, s.lane_groups,
-      static_cast<unsigned long long>(s.epochs_executed), s.mean_lookahead_us,
-      static_cast<unsigned long long>(s.processed_events),
-      static_cast<unsigned long long>(s.critical_path_events),
-      s.AlgorithmicSpeedup());
+  return StrFormat("{\"processed_events\": %llu}",
+                   static_cast<unsigned long long>(s.processed_events));
 }
 
 // --- smoke mode ---------------------------------------------------------
@@ -141,7 +109,7 @@ struct UpscaleResult {
   Duration sandbox = 0;  // kubelet span
   bool converged = false;
   PhaseTimes phases;    // host wall-clock per phase
-  EngineStats engine;   // parallel-engine counters (zeros when serial)
+  EngineStats engine;
 };
 
 inline UpscaleResult RunUpscale(cluster::ClusterConfig config, int functions,
@@ -202,14 +170,12 @@ inline UpscaleResult RunUpscale(cluster::ClusterConfig config, int functions,
 
 // Downscale counterpart: scale K functions from `from` to `to` pods
 // each; latency until the API server view drains to the target.
-// `phases`/`stats`, when non-null, receive the host phase split (setup
-// = boot + the upscale leg, run = the measured downscale) and the
-// engine counters of the run.
+// `phases`, when non-null, receives the host phase split (setup = boot
+// + the upscale leg, run = the measured downscale).
 inline Duration RunDownscale(cluster::ClusterConfig config, int functions,
                              int pods_from, int pods_to,
                              Duration deadline = Minutes(30),
-                             PhaseTimes* phases = nullptr,
-                             EngineStats* stats = nullptr) {
+                             PhaseTimes* phases = nullptr) {
   PhaseClock clock;
   Duration latency = -1;
   {
@@ -244,7 +210,6 @@ inline Duration RunDownscale(cluster::ClusterConfig config, int functions,
       if (down) latency = engine.now() - start;
     }
     if (phases != nullptr) phases->run_s = clock.Lap();
-    if (stats != nullptr) *stats = CaptureEngineStats(engine);
   }
   if (phases != nullptr) phases->teardown_s = clock.Lap();
   return latency;

@@ -70,9 +70,7 @@ void ApiServer::Broadcast(WatchEventType type, const model::ApiObject& obj) {
     WatchCallback cb = watcher.cb;
     WatchEvent event{type, obj};
     const std::uint64_t epoch = epoch_;
-    // Sanctioned seam: the delivery runs in the subscriber's lane
-    // (group). delay >= watch_delivery_latency >= the conservative
-    // lookahead, so the cross-group schedule is always legal.
+    // Sanctioned seam: the delivery runs in the subscriber's lane.
     engine_.ScheduleSeamAfter(
         watcher.lane, delay,
         [this, epoch, cb = std::move(cb), event = std::move(event)]() mutable {
@@ -90,8 +88,7 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
                       std::function<void(CommitResult)> respond) {
   // The lane of the context that dispatched the request (the client's
   // component). The response — and the dead-server deadline expiry —
-  // travel back there; both delays are >= api_network_latency >= the
-  // conservative lookahead.
+  // travel back there.
   const LaneId reply_lane = engine_.seam_origin_lane();
   if (!up_) {
     // Dead server: the request neither queues nor commits — it hangs
@@ -116,16 +113,9 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
   auto respond_shared = std::make_shared<RespondFn>(std::move(respond));
   const std::uint64_t id = next_request_id_++;
   const std::uint64_t epoch = epoch_;
-  std::size_t inflight;
-  {
-    sim::SeamLockGuard lock(pending_mu_);
-    pending_.emplace(id, respond_shared);
-    inflight = pending_.size();
-  }
-  // NOTE: under parallel execution the observed maximum depends on how
-  // epochs interleave request arrivals with response departures in
-  // other groups, so this one metric may vary across thread counts.
-  metrics_.RecordMax("api.inflight_max", static_cast<std::int64_t>(inflight));
+  pending_.emplace(id, respond_shared);
+  metrics_.RecordMax("api.inflight_max",
+                     static_cast<std::int64_t>(pending_.size()));
 
   auto finish = [this, id, epoch, arrival, response_bytes, reply_lane,
                  respond_shared](CommitResult result, Time commit_done) {
@@ -139,10 +129,7 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
                            [this, id, epoch, arrival, respond_shared,
                             result = std::move(result)]() mutable {
                              if (epoch != epoch_) return;
-                             {
-                               sim::SeamLockGuard lock(pending_mu_);
-                               pending_.erase(id);
-                             }
+                             pending_.erase(id);
                              metrics_.RecordDuration("api_call_latency",
                                                      engine_.now() - arrival);
                              (*respond_shared)(std::move(result));
@@ -195,18 +182,14 @@ void ApiServer::Crash() {
   metrics_.Count("apiserver.crashes");
   // Every in-flight request fails fast — the TCP connections reset, so
   // clients learn after one network latency, not a full deadline.
-  // Crash() is fault-path and runs serially; the lock is uniformity.
-  {
-    sim::SeamLockGuard lock(pending_mu_);
-    for (auto& [id, respond] : pending_) {
-      (void)id;
-      engine_.ScheduleAfter(
-          cost_.api_network_latency, [respond]() {
-            (*respond)({UnavailableError("API server crashed"), {}});
-          });
-    }
-    pending_.clear();
+  for (auto& [id, respond] : pending_) {
+    (void)id;
+    engine_.ScheduleAfter(
+        cost_.api_network_latency, [respond]() {
+          (*respond)({UnavailableError("API server crashed"), {}});
+        });
   }
+  pending_.clear();
   // Queued-but-unadmitted requests die with the process (their
   // responses were failed above via pending_); every APF seat frees.
   apf_.Reset();

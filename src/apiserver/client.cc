@@ -61,8 +61,7 @@ void ApiClient::Dispatch(ApiServer* target, std::size_t request_bytes,
     const CostModel& cost = shards_.front()->cost();
     const Duration client_ser = static_cast<Duration>(
         static_cast<double>(request_bytes) * cost.serialize_ns_per_byte);
-    // Uplink seam: the handler runs in the server's lane group. The
-    // delay is >= api_network_latency >= the conservative lookahead.
+    // Uplink seam: the handler runs in the server's lane.
     engine_.ScheduleSeamAfter(target->lane(),
                               client_ser + cost.api_network_latency,
                               std::move(send));

@@ -22,27 +22,10 @@ int DefaultNumShards() {
   return n < 1 ? 1 : n;
 }
 
-int DefaultLaneGroups() {
-  // The CI lane-matrix knob, read once at cluster construction — never
-  // inside simulated time. Trace-neutral by construction: any value
-  // reproduces the serial fingerprints.
-  // kdlint: allow(R1) config knob read outside simulated time
-  const char* env = std::getenv("KD_LANES");
-  if (env == nullptr) return 1;
-  const int n = std::atoi(env);
-  return n < 1 ? 1 : n;
-}
-
-int DefaultLaneThreads() {
-  // kdlint: allow(R1) config knob read outside simulated time
-  const char* env = std::getenv("KD_THREADS");
-  if (env == nullptr) return 0;  // 0 = one worker per group
-  const int n = std::atoi(env);
-  return n < 0 ? 0 : n;
-}
-
 Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     : engine_(engine), config_(std::move(config)) {
+  KD_CHECK(config_.lane_groups == 1 && config_.lane_threads == 1,
+           "the engine is serial: lane_groups and lane_threads must be 1");
   network_ = std::make_unique<net::Network>(engine_);
   control_plane_ = std::make_unique<apiserver::ControlPlane>(
       engine_, config_.cost, config_.num_shards);
@@ -75,45 +58,6 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
         *env_, config_.mode, NodeName(i), sandbox));
   }
 
-  ConfigureParallelLanes();
-}
-
-void Cluster::ConfigureParallelLanes() {
-  const int groups = config_.lane_groups;
-  if (groups <= 1) return;
-  if (!engine_.parallel()) {
-    // Group 0 keeps the control plane (API shards, controllers, driver
-    // context — everything whose lane is unbound); kubelet event
-    // streams, the population that actually scales with cluster size,
-    // spread over groups 1..G.
-    const int threads =
-        config_.lane_threads > 0 ? config_.lane_threads : groups + 1;
-    engine_.ConfigureParallel(groups + 1, threads);
-    // Conservative lookahead: the minimum latency any cross-group seam
-    // can carry. Every sanctioned seam charges at least one of these
-    // three constants before crossing lanes (net delivery charges the
-    // wire latency, API uplinks/responses charge api_network_latency,
-    // watch fan-out charges watch_delivery_latency); fault-path seams
-    // (disconnect detection, request deadlines) are slower still.
-    Duration lookahead = network_->config().latency;
-    lookahead = std::min(lookahead, config_.cost.api_network_latency);
-    lookahead = std::min(lookahead, config_.cost.watch_delivery_latency);
-    engine_.SetLookahead(lookahead < 1 ? 1 : lookahead);
-#ifndef NDEBUG
-    // Debug oracle: any wrong-lane touch under parallel execution is a
-    // real data race in flight — print both provenances and abort.
-    engine_.lane_checker().Enable();
-    engine_.lane_checker().set_abort_on_conflict(true);
-#endif
-  }
-  // A second cluster on an already-partitioned engine (multi-cluster
-  // tests) reuses the existing groups; binding is idempotent per lane.
-  const int kubelet_groups = engine_.num_groups() - 1;
-  for (std::size_t i = 0; i < kubelets_.size(); ++i) {
-    engine_.BindLaneToGroup(
-        kubelets_[i]->harness().lane(),
-        1 + static_cast<int>(i % static_cast<std::size_t>(kubelet_groups)));
-  }
 }
 
 Cluster::~Cluster() = default;

@@ -42,17 +42,6 @@ enum class SandboxKind { kStock, kDirigent };
 // environment variable (the CI S∈{1,4} matrix), defaulting to 1.
 int DefaultNumShards();
 
-// Kubelet lane groups for parallel event execution: the KD_LANES
-// environment variable (the CI G∈{1,4} matrix), defaulting to 1.
-// 0/1 = serial engine; G>1 adds G kubelet groups beside the
-// control-plane group. The observable event trace is byte-identical
-// at every value (see sim/engine.h, PARALLEL MODE).
-int DefaultLaneGroups();
-// Worker threads driving the lane groups: KD_THREADS, defaulting to 0
-// = one worker per group. The trace is thread-count independent; the
-// knob only trades wall-clock for cores.
-int DefaultLaneThreads();
-
 // Heterogeneous node pools ("ondemand" vs "spot", scenario engine):
 // nodes are assigned to pools in index order, `count` nodes each; any
 // remainder stays in the unnamed default pool. An empty pool list
@@ -80,12 +69,11 @@ struct ClusterConfig {
   // paper's single API server; every trace is byte-identical to the
   // pre-sharding tree at 1.
   int num_shards = DefaultNumShards();
-  // Parallel lane execution: kubelet lanes round-robin across
-  // `lane_groups` groups run by `lane_threads` workers between
-  // conservative-lookahead barrier epochs. <=1 keeps the engine
-  // serial. Byte-identical traces at every (groups, threads) value.
-  int lane_groups = DefaultLaneGroups();
-  int lane_threads = DefaultLaneThreads();
+  // Inert: the engine is serial, and the constructor rejects any
+  // value but 1. Kept only because perfbench/main.cc still assigns
+  // them.
+  int lane_groups = 1;
+  int lane_threads = 1;
 
   static ClusterConfig K8s(int nodes) {
     ClusterConfig c;
@@ -178,12 +166,6 @@ class Cluster {
   std::vector<std::string> NodesInPool(const std::string& pool) const;
 
  private:
-  // Partitions the engine into lane groups (config_.lane_groups > 1):
-  // group 0 keeps the control plane and driver context, kubelet lanes
-  // round-robin groups 1..G, and the lookahead is derived as the
-  // minimum cross-group seam latency of this cluster's cost model.
-  void ConfigureParallelLanes();
-
   sim::Engine& engine_;
   ClusterConfig config_;
   MetricsRecorder metrics_;

@@ -1,26 +1,20 @@
-// Lane-ownership model for the parallel-simulation roadmap (item 2).
+// Lane-ownership model.
 //
-// A *lane* is the unit of future event-parallelism: one component's
-// event stream plus the mutable state only that stream may touch.
-// Before `sim::Engine` can be partitioned into per-component lanes
-// (conservative-lookahead PDES), every piece of component state must
-// have a declared owner, and every cross-lane effect must provably
-// route through a sanctioned seam (net::, the hierarchy channel,
-// ApiClient, the watch hub). kdlint rules R7/R8 enforce that model
-// statically from these annotations; the runtime counterpart is
-// sim::LaneChecker (src/sim/lane_checker.h). See LINT.md and
-// DESIGN.md §7 for the full ownership map.
+// A *lane* is one component's event stream plus the mutable state only
+// that stream may touch. Every piece of component state has a declared
+// owner, and every cross-lane effect routes through a sanctioned seam
+// (net::, the hierarchy channel, ApiClient, the watch hub). kdlint
+// rules R7/R8 enforce that model statically from these annotations;
+// the runtime counterpart is sim::LaneChecker (src/sim/lane_checker.h).
+// See LINT.md and DESIGN.md §7 for the full ownership map.
 //
 // Usage:
 //
 //   class KD_LANE_OWNED(kubelet) Kubelet { ... };   // all state owned
 //   class KD_LANE_SEAM Endpoint { ... };            // sanctioned seam
 //
-// The macros expand to a clang `annotate` attribute where available so
-// the AST backend can see them, and to nothing elsewhere; the token
-// analyzer (and the cross-TU index in kdlint's driver) reads the
-// macro invocation itself, so both modes agree on the model without
-// any build-flag coupling.
+// The macros expand to nothing; kdlint reads the macro invocation
+// itself, so the model needs no build-flag coupling.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +33,5 @@ inline constexpr LaneId kNoLane = 0;
 // KD_LANE_SEAM: the annotated class is a sanctioned conduit for
 // cross-lane effects (messages, API calls, watch delivery) — calls
 // into it from any lane are legal by design.
-#if defined(__clang__)
-#define KD_LANE_OWNED(lane) [[clang::annotate("kd::lane=" #lane)]]
-#define KD_LANE_SEAM [[clang::annotate("kd::lane-seam")]]
-#else
 #define KD_LANE_OWNED(lane)
 #define KD_LANE_SEAM
-#endif

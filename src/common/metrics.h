@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/time.h"
-#include "sim/seam_lock.h"
 
 namespace kd {
 
@@ -55,29 +54,18 @@ class Sample {
 // Accumulates named counters and duration samples for one simulation
 // run. Controllers record how long each unit of work took; benches read
 // the recorder afterwards to print the paper's breakdown rows.
-//
-// Thread safety: a recorder may be shared across lane groups (the
-// cluster-wide recorder collects from kubelets and controllers alike),
-// so every mutation takes the internal SeamLock. All recorded state is
-// commutative — counter adds, max gauges, busy sums, span min/max, and
-// multiset sample inserts (quantiles/Sum read the sorted multiset, so
-// within-epoch arrival order never shows) — which is what makes the
-// lock sufficient for determinism (see seam_lock.h).
 class MetricsRecorder {
  public:
   void Count(const std::string& name, std::int64_t delta = 1) {
-    sim::SeamLockGuard lock(mu_);
     counters_[name] += delta;
   }
   std::int64_t GetCount(const std::string& name) const {
-    sim::SeamLockGuard lock(mu_);
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
   // Monotone high-water gauge, stored alongside counters so it prints
   // with them (e.g. "<loop>.queue_depth_max").
   void RecordMax(const std::string& name, std::int64_t v) {
-    sim::SeamLockGuard lock(mu_);
     auto& cur = counters_[name];
     if (v > cur) cur = v;
   }
@@ -87,11 +75,9 @@ class MetricsRecorder {
   // incarnation counts. Lifetime totals (e.g. "apiserver.crashes") are
   // recorded by the harness, not the process, and are never reset.
   void ResetCounter(const std::string& name) {
-    sim::SeamLockGuard lock(mu_);
     counters_.erase(name);
   }
   void ResetCounterPrefix(const std::string& prefix) {
-    sim::SeamLockGuard lock(mu_);
     auto it = counters_.lower_bound(prefix);
     while (it != counters_.end() && it->first.compare(0, prefix.size(),
                                                       prefix) == 0) {
@@ -100,11 +86,9 @@ class MetricsRecorder {
   }
 
   void RecordDuration(const std::string& name, Duration d) {
-    sim::SeamLockGuard lock(mu_);
     samples_[name].Add(ToMillis(d));
   }
   void RecordValue(const std::string& name, double v) {
-    sim::SeamLockGuard lock(mu_);
     samples_[name].Add(v);
   }
   const Sample& GetSample(const std::string& name) const;
@@ -115,11 +99,9 @@ class MetricsRecorder {
   // Interval markers: Start/Stop pairs keyed by (name) accumulate busy
   // time, used for "time controller X spent" measurements.
   void AddBusy(const std::string& name, Duration d) {
-    sim::SeamLockGuard lock(mu_);
     busy_[name] += d;
   }
   Duration GetBusy(const std::string& name) const {
-    sim::SeamLockGuard lock(mu_);
     auto it = busy_.find(name);
     return it == busy_.end() ? 0 : it->second;
   }
@@ -148,7 +130,6 @@ class MetricsRecorder {
     Time first_start = -1;
     Time last_stop = -1;
   };
-  mutable sim::SeamLock mu_;
   std::map<std::string, std::int64_t> counters_;
   std::map<std::string, Sample> samples_;
   std::map<std::string, Duration> busy_;

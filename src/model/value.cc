@@ -15,11 +15,9 @@ const Value::Object kEmptyObject;
 }  // namespace
 
 Value::Data& Value::MutableData() {
-  if (data_->refs.shared()) {
-    Data* clone = new Data(*data_);
-    // Another owner may have let go meanwhile, leaving us the last.
-    if (data_->refs.Release()) delete data_;
-    data_ = clone;
+  if (data_->refs > 1) {
+    --data_->refs;
+    data_ = new Data(*data_);
   }
   data_->cached_size = 0;
   data_->cached_escapes = 0;
@@ -57,7 +55,7 @@ Value& Value::at(std::size_t i) {
   // access yields a scratch null whose writes are discarded, instead of
   // indexing past the end.
   if (!is_array() || i >= data_->array.size()) {
-    static thread_local Value scratch;
+    static Value scratch;
     scratch = Value();
     return scratch;
   }

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "sim/seam_lock.h"
 
 namespace kd::model {
 
@@ -73,7 +72,7 @@ class Value {
   // either copy detaches it. A moved-from Value is null.
   Value(const Value& other) : type_(other.type_) {
     CopyPayloadBits(other);
-    if (has_payload()) data_->refs.Acquire();
+    if (has_payload()) ++data_->refs;
   }
   Value(Value&& other) noexcept : type_(other.type_) {
     CopyPayloadBits(other);
@@ -217,7 +216,7 @@ class Value {
     Object object;
     mutable std::uint32_t cached_size = 0;
     mutable std::uint32_t cached_escapes = 0;
-    sim::SeamRefCount refs;  // one owner at construction and on clone
+    std::uint32_t refs = 1;  // one owner at construction and on clone
   };
 
   bool has_payload() const {
@@ -238,7 +237,7 @@ class Value {
   // Drops this Value's reference to its payload (freeing the node with
   // the last one) and leaves the Value null.
   void Release() {
-    if (has_payload() && data_->refs.Release()) delete data_;
+    if (has_payload() && --data_->refs == 0) delete data_;
     type_ = Type::kNull;
     int_ = 0;
   }

@@ -46,9 +46,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
     to.next_delivery_time = deliver_at;
 
     // Sanctioned seam: delivery executes in the receiving endpoint's
-    // lane (and, in parallel mode, its lane group). wire >= latency >=
-    // the engine's conservative lookahead, so the cross-group schedule
-    // is always legal. The receiver lane is resolved at send time; the
+    // lane. The receiver lane is resolved at send time; the
     // LaneScope below re-resolves at delivery for the checker, which
     // yields the same lane for any registered endpoint (same address
     // <=> same lane name).
@@ -108,10 +106,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
       sides_[side].closed_seen = true;  // silent: crashed process
       return;
     }
-    // Seam to the notified side's lane. Cross-group closes only occur
-    // on the fault path (partitions, crashes — serial mode) or with
-    // the peer's detect/FIN delay, both >= the lookahead; an active
-    // local close (delay 0) targets the closer's own lane.
+    // Seam to the notified side's lane; an active local close
+    // (delay 0) targets the closer's own lane.
     Endpoint* side_ep = network_.Find(sides_[side].address);
     const LaneId side_lane = side_ep != nullptr ? side_ep->lane() : kNoLane;
     auto weak = weak_from_this();
@@ -206,7 +202,6 @@ void Network::Partition(const std::string& a, const std::string& b) {
   partitions_.insert(NormalizedPair(a, b));
   // Existing connections between the pair die; both sides detect the
   // loss after the keepalive timeout.
-  sim::SeamLockGuard lock(connections_mu_);
   for (auto it = connections_.begin(); it != connections_.end();) {
     auto conn = it->lock();
     if (!conn) {
@@ -234,7 +229,6 @@ std::uint64_t Network::crash_epoch(const std::string& address) const {
 
 void Network::CrashEndpoint(const std::string& address) {
   ++crash_epochs_[address];
-  sim::SeamLockGuard lock(connections_mu_);
   for (auto it = connections_.begin(); it != connections_.end();) {
     auto conn = it->lock();
     if (!conn) {
@@ -283,8 +277,8 @@ void Endpoint::Connect(const std::string& to,
   // half-open connection to a dead process.
   const std::uint64_t from_epoch = net.crash_epoch(from);
   const std::uint64_t to_epoch = net.crash_epoch(to);
-  // The SYN lands in the target's lane (group). An unregistered target
-  // resolves to kNoLane -> group 0; the closure re-checks liveness.
+  // The SYN lands in the target's lane. An unregistered target
+  // resolves to kNoLane; the closure re-checks liveness.
   Endpoint* syn_target = net.Find(to);
   const LaneId syn_lane = syn_target != nullptr ? syn_target->lane() : kNoLane;
   net.engine_.ScheduleSeamAfter(syn_lane, net.config_.latency,
@@ -310,13 +304,7 @@ void Endpoint::Connect(const std::string& to,
       return;
     }
     auto conn = std::make_shared<Connection>(net, from, to);
-    {
-      // Accepts can run concurrently in different target groups; the
-      // registry insert is the only cross-group write (commutative —
-      // set insert order is invisible to the simulation).
-      sim::SeamLockGuard lock(net.connections_mu_);
-      net.connections_.insert(conn);
-    }
+    net.connections_.insert(conn);
     auto server_handle = std::make_shared<ConnHandle>(conn, 1);
     {
       sim::LaneScope lane_scope(net.engine_.lane_checker(), target->lane());

@@ -29,7 +29,6 @@
 #include "common/status.h"
 #include "common/time.h"
 #include "sim/engine.h"
-#include "sim/seam_lock.h"
 
 namespace kd::net {
 
@@ -142,33 +141,27 @@ class KD_LANE_SEAM Network {
 
   // --- Accounting ---------------------------------------------------
   MetricsRecorder& metrics() { return metrics_; }
-  std::uint64_t total_messages() const { return total_messages_.load(); }
-  std::uint64_t total_bytes() const { return total_bytes_.load(); }
+  std::uint64_t total_messages() const { return total_messages_; }
+  std::uint64_t total_bytes() const { return total_bytes_; }
 
  private:
   friend class Connection;
   friend class Endpoint;
 
-  // Sends run concurrently in every lane group; counter increments
-  // commute, so totals are deterministic at epoch boundaries.
   void AccountSend(std::size_t bytes) {
-    total_messages_.Add(1);
-    total_bytes_.Add(bytes);
+    ++total_messages_;
+    total_bytes_ += bytes;
   }
 
   sim::Engine& engine_;
   NetworkConfig config_;
   std::map<std::string, Endpoint*> endpoints_;
   std::set<std::pair<std::string, std::string>> partitions_;  // normalized
-  // Guards connections_: handshake accepts insert from their target
-  // group's worker (see network.cc); the fault-injection sweeps run
-  // serially but take the lock for uniformity.
-  sim::SeamLock connections_mu_;
   std::set<std::weak_ptr<Connection>, std::owner_less<>> connections_;
   std::map<std::string, std::uint64_t> crash_epochs_;
   MetricsRecorder metrics_;
-  sim::SeamCounter total_messages_;
-  sim::SeamCounter total_bytes_;
+  std::uint64_t total_messages_ = 0;
+  std::uint64_t total_bytes_ = 0;
 };
 
 // A named attachment point: listens for connections and initiates them.

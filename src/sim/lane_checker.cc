@@ -1,13 +1,8 @@
 #include "sim/lane_checker.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "common/strings.h"
 
 namespace kd::sim {
-
-thread_local LaneChecker::EventCtx LaneChecker::t_ctx;
 
 LaneId LaneChecker::RegisterLane(const std::string& name) {
   auto it = by_name_.find(name);
@@ -28,43 +23,35 @@ void LaneChecker::BeginEvent(Time time, std::uint64_t seq, LaneId lane) {
     epoch_time_ = time;
     shadow_.clear();
   }
-  t_ctx = EventCtx{lane, time, seq};
-}
-
-void LaneChecker::BeginEventParallel(Time time, LaneId lane) {
-  t_ctx = EventCtx{lane, time, 0};
+  ctx_ = EventCtx{lane, time, seq};
 }
 
 void LaneChecker::Touch(const void* site, const std::string& site_name,
                         LaneId owner, const std::string& key, bool is_write) {
   if (!enabled_) return;
-  const EventCtx ctx = t_ctx;
+  const EventCtx& ctx = ctx_;
   if (ctx.lane == kNoLane) return;
   Conflict c;
   bool conflict = false;
   if (owner != kNoLane && ctx.lane != owner) {
     conflict = true;  // ownership breach: wrong lane on owned state
   }
-  if (!parallel_mode_) {
-    // Same-virtual-time overlap tracking is serial-only: the shadow
-    // map's epoch clearing assumes one thread walks the clock.
-    auto shadow_key = std::make_pair(site, key);
-    auto it = shadow_.find(shadow_key);
-    if (it != shadow_.end()) {
-      const TouchRec& prev = it->second;
-      // Same-epoch cross-lane overlap with a write involved: these two
-      // events would race in a parallel engine.
-      if (prev.lane != ctx.lane && (is_write || prev.write)) {
-        conflict = true;
-        c.prev_lane = prev.lane;
-        c.prev_time = prev.time;
-        c.prev_seq = prev.seq;
-      }
-      if (prev.lane == ctx.lane) it->second.write = prev.write || is_write;
-    } else {
-      shadow_.emplace(shadow_key,
-                      TouchRec{ctx.lane, ctx.time, ctx.seq, is_write});
+  auto shadow_key = std::make_pair(site, key);
+  auto it = shadow_.find(shadow_key);
+  if (it != shadow_.end()) {
+    const TouchRec& prev = it->second;
+    // Same-epoch cross-lane overlap with a write involved: the two
+    // events' order is a same-time tie-break, not causality.
+    if (prev.lane != ctx.lane && (is_write || prev.write)) {
+      conflict = true;
+      c.prev_lane = prev.lane;
+      c.prev_time = prev.time;
+      c.prev_seq = prev.seq;
     }
+    if (prev.lane == ctx.lane) it->second.write = prev.write || is_write;
+  } else {
+    shadow_.emplace(shadow_key,
+                    TouchRec{ctx.lane, ctx.time, ctx.seq, is_write});
   }
   if (conflict) {
     c.site = site_name;
@@ -78,19 +65,8 @@ void LaneChecker::Touch(const void* site, const std::string& site_name,
 }
 
 void LaneChecker::Record(Conflict c) {
-  std::string report;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++total_conflicts_;
-    if (conflicts_.size() < kMaxRecorded) conflicts_.push_back(c);
-    if (abort_on_conflict_) report = FormatConflict(c);
-  }
-  if (abort_on_conflict_) {
-    std::fprintf(stderr, "lane checker: aborting on conflict\n%s",
-                 report.c_str());
-    std::fflush(stderr);
-    std::abort();
-  }
+  ++total_conflicts_;
+  if (conflicts_.size() < kMaxRecorded) conflicts_.push_back(std::move(c));
 }
 
 std::string LaneChecker::FormatConflict(const Conflict& c) const {
@@ -110,7 +86,6 @@ std::string LaneChecker::FormatConflict(const Conflict& c) const {
 }
 
 std::string LaneChecker::FormatReport() const {
-  std::lock_guard<std::mutex> lock(mu_);
   if (total_conflicts_ == 0) return "lane checker: no conflicts\n";
   std::string out = StrFormat("lane checker: %llu conflict(s)\n",
                               static_cast<unsigned long long>(total_conflicts_));
@@ -119,7 +94,6 @@ std::string LaneChecker::FormatReport() const {
 }
 
 void LaneChecker::ClearConflicts() {
-  std::lock_guard<std::mutex> lock(mu_);
   conflicts_.clear();
   total_conflicts_ = 0;
 }

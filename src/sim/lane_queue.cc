@@ -12,11 +12,8 @@ LaneQueue::~LaneQueue() {
 }
 
 void LaneQueue::Arm(std::uint32_t index, Time t, std::uint64_t seq) {
-  Slot& slot = SlotAt(index);
-  assert(slot.armed);
-  assert(!slot.queued);
+  assert(SlotAt(index).armed);
   assert(t >= now_);
-  slot.queued = true;
   heap_.push_back({t, seq, index});
   SiftUp(heap_.size() - 1);
   ++live_events_;
@@ -125,7 +122,6 @@ bool LaneQueue::PopDue(Time limit, Fired& out) {
   Slot& slot = SlotAt(index);
   out.generation = slot.generation;
   slot.armed = false;
-  slot.queued = false;
   ++slot.generation;
   assert(live_events_ > 0);
   --live_events_;

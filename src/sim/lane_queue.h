@@ -1,7 +1,5 @@
-// One event queue: a slot/generation arena plus a 4-ary (time, seq)
-// min-heap. The serial Engine owns exactly one of these; the parallel
-// engine owns one per lane group and executes them concurrently
-// between barrier epochs (see sim/parallel.h).
+// The engine's event queue: a slot/generation arena plus a 4-ary
+// (time, seq) min-heap. sim::Engine owns exactly one.
 //
 // Closures are stored in place in 64-byte slots that live in
 // address-stable chunks; the heap holds (time, seq, slot) entries.
@@ -11,10 +9,7 @@
 // stays amortized O(1) and the heap stays within about 2x the live
 // events. Fire order is exactly sorted (time, seq) for whatever seq
 // values the caller arms events with — the queue does not assign
-// sequence numbers itself. That split is what the parallel engine
-// exploits: during an epoch it executes events against tentative
-// orderings and lets the barrier replay assign the globally-serial seq
-// to each spawn (sim/parallel.h).
+// sequence numbers itself.
 #pragma once
 
 #include <cassert>
@@ -56,12 +51,7 @@ class LaneQueue {
     std::uint32_t generation = 1;
     LaneId lane = kNoLane;    // lane the event executes in
     LaneId origin = kNoLane;  // lane of the scheduling context
-    bool armed = false;
-    // True while a heap entry references the slot. An armed slot
-    // without one is a parallel-epoch spawn the barrier replay has not
-    // inserted yet; Cancel uses the flag to keep the live-event count
-    // exact (only queued events were counted).
-    bool queued = false;
+    bool armed = false;  // true while queued and not cancelled
   };
 
   // A fired event, handed back for the caller to invoke: the slot is
@@ -83,9 +73,9 @@ class LaneQueue {
 
   Time now() const { return now_; }
   std::size_t live_events() const { return live_events_; }
-  bool has_slot(std::uint32_t i) const { return i < slot_count_; }
   // Arena slots ever allocated and heap entries held (live + dead):
-  // the queue's memory footprint, for tests.
+  // the queue's memory footprint. Slot indices below slot_count() are
+  // valid.
   std::size_t slot_count() const { return slot_count_; }
   std::size_t heap_entries() const { return heap_.size(); }
 
@@ -126,21 +116,12 @@ class LaneQueue {
       slot.destroy = [](void* c) { delete *static_cast<Fn**>(c); };
     }
     slot.armed = true;
-    slot.queued = false;
   }
 
   static void DestroyClosure(Slot& slot) {
     if (slot.destroy != nullptr) slot.destroy(slot.closure);
     slot.invoke = nullptr;
     slot.destroy = nullptr;
-  }
-
-  // Recycles a slot whose closure is already gone (fired or cancelled),
-  // invalidating any outstanding EventId.
-  void ReleaseSlot(std::uint32_t index) {
-    Slot& slot = SlotAt(index);
-    ++slot.generation;
-    free_slots_.push_back(index);
   }
 
   // Recycles a fired slot WITHOUT bumping the generation again (the
@@ -151,20 +132,15 @@ class LaneQueue {
   // the caller-assigned sequence number. t must be >= now().
   void Arm(std::uint32_t index, Time t, std::uint64_t seq);
 
-  // Disarms a cancelled event that held a queue entry (drops the
+  // Accounts for a cancelled (disarmed) queued event: drops the
   // live-event count; the entry itself skims lazily, or goes in the
-  // next compaction).
+  // next compaction.
   void NoteCancelledQueued() {
     assert(live_events_ > 0);
     --live_events_;
     const std::size_t dead = heap_.size() - live_events_;
     if (dead > kCompactFloor && dead > live_events_) Compact();
   }
-
-  // Skims dead (cancelled) entries, then returns the time of the next
-  // live queued event without firing or advancing the clock (kNoEvent
-  // if none).
-  Time PeekNextTime();
 
   // Advances the clock to t (t > now()). No live event may be queued
   // before t.
@@ -188,6 +164,19 @@ class LaneQueue {
   static bool Before(const HeapEntry& a, const HeapEntry& b) {
     return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
+
+  // Recycles a slot whose closure is already gone (fired or cancelled),
+  // invalidating any outstanding EventId.
+  void ReleaseSlot(std::uint32_t index) {
+    Slot& slot = SlotAt(index);
+    ++slot.generation;
+    free_slots_.push_back(index);
+  }
+
+  // Skims dead (cancelled) entries, then returns the time of the next
+  // live queued event without firing or advancing the clock (kNoEvent
+  // if none).
+  Time PeekNextTime();
 
   // Index of the least of the (up to four) children starting at
   // `first`, among the first n entries.

@@ -33,18 +33,14 @@
 namespace kd {
 namespace {
 
-// Pinned (time, seq) fingerprints. They hold on the paper's single API
-// server (KD_SHARDS=1); sharding changes the event trace by design. The
-// parallel engine reproduces the fault-free traces at every KD_LANES,
-// but a crash point's recovery draws jitter from the per-group rng
-// streams, so those are pinned on the serial engine only.
+// Pinned (time, seq) fingerprints: the two fault-free traces and the
+// three crash-point traces below. They hold on the paper's single API
+// server (KD_SHARDS=1); sharding changes the event trace by design, so
+// under KD_SHARDS>1 only the run-to-run equality checks apply.
 constexpr std::uint64_t kKdClusterFingerprint = 0x4bf29dcd6393ed66ull;
 constexpr std::uint64_t kFaasReplayFingerprint = 0x878fe408407f5b1bull;
 
-bool FingerprintsPinned(bool fault_path) {
-  return cluster::DefaultNumShards() == 1 &&
-         (!fault_path || cluster::DefaultLaneGroups() <= 1);
-}
+bool FingerprintsPinned() { return cluster::DefaultNumShards() == 1; }
 
 // Keyed by victim: one injection point per victim is instantiated below.
 std::uint64_t PinnedCrashPointFingerprint(crashpoint::Victim victim) {
@@ -149,7 +145,7 @@ TEST(DeterminismTest, KdClusterTraceIsByteIdenticalAcrossRuns) {
   std::printf("[trace] kd-cluster: %zu bytes, fingerprint %016llx\n",
               first.size(),
               static_cast<unsigned long long>(Fnv1a(first)));
-  if (FingerprintsPinned(/*fault_path=*/false)) {
+  if (FingerprintsPinned()) {
     EXPECT_EQ(Fnv1a(first), kKdClusterFingerprint);
   }
 }
@@ -163,7 +159,7 @@ TEST(DeterminismTest, FaasReplayTraceIsByteIdenticalAcrossRuns) {
   std::printf("[trace] faas-replay: %zu bytes, fingerprint %016llx\n",
               first.size(),
               static_cast<unsigned long long>(Fnv1a(first)));
-  if (FingerprintsPinned(/*fault_path=*/false)) {
+  if (FingerprintsPinned()) {
     EXPECT_EQ(Fnv1a(first), kFaasReplayFingerprint);
   }
 }
@@ -195,7 +191,7 @@ TEST_P(CrashPointDeterminismTest, SameInjectionPointIsByteIdentical) {
               static_cast<unsigned long long>(index), first.size(),
               result.fired ? 1 : 0,
               static_cast<unsigned long long>(Fnv1a(first)));
-  if (FingerprintsPinned(/*fault_path=*/true)) {
+  if (FingerprintsPinned()) {
     EXPECT_EQ(Fnv1a(first), PinnedCrashPointFingerprint(victim));
   }
 }

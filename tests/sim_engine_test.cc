@@ -395,7 +395,6 @@ TEST(LaneQueueTest, CancelChurnKeepsMemoryBounded) {
     LaneQueue::Slot& slot = q.SlotAt(index);
     slot.armed = false;
     LaneQueue::DestroyClosure(slot);
-    slot.queued = false;
     q.NoteCancelledQueued();
   };
   constexpr std::size_t kLive = 100;

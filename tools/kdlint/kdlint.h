@@ -17,14 +17,11 @@
 //       another lane's state except through a KD_LANE_SEAM conduit
 //   R8  no raw pointer/reference to another lane's KD_LANE_OWNED state
 //       stored as a member or captured into a scheduled closure
-//   R9  no raw threading primitives (std::thread/mutex/atomics)
-//       outside src/sim — the engine owns all parallelism; product
-//       code uses sim::SeamLock for sanctioned commutative seams
 //
 // R7/R8 read the ownership model declared in src/common/lane.h; the
 // driver harvests every KD_LANE_OWNED/KD_LANE_SEAM annotation across
 // all input files (and sibling headers) into Options before analysis,
-// which is what makes the pass cross-translation-unit in both modes.
+// which is what makes the pass cross-translation-unit.
 //
 // Suppressions: `// kdlint: allow(R2) reason` on the offending line or
 // the line directly above; `// kdlint: allow-file(R1) reason` anywhere
@@ -64,7 +61,7 @@ struct Options {
   std::set<std::string> baseline;
   // Cross-TU lane-ownership index for R7/R8, harvested by the driver
   // from every input file (plus sibling headers) before analysis so
-  // both backends see the same model regardless of include graphs.
+  // every file sees the same model regardless of include graphs.
   std::map<std::string, std::string> lane_of;  // class name -> lane
   std::set<std::string> seam_types;            // KD_LANE_SEAM classes
   // Accessor functions returning a lane-owned type by ref/pointer
@@ -72,25 +69,6 @@ struct Options {
   // class. Lets R7 see cross-lane reach through getter chains.
   std::map<std::string, std::string> accessor_lane;
 };
-
-// Per-file suppression state parsed from raw source lines.
-struct Suppressions {
-  // line -> rules allowed on that line (an entry covering line N also
-  // covers findings reported on line N when the comment sits on N-1).
-  std::map<int, std::set<std::string>> by_line;
-  std::map<int, std::string> reason_by_line;
-  std::set<std::string> whole_file;
-  std::string whole_file_reason;
-  // Suppression comments with an empty reason: line -> the rule list
-  // text. They are rejected (no suppression effect) and reported as
-  // R0 so the exception inventory stays auditable.
-  std::map<int, std::string> missing_reason;
-
-  // Applies suppression state to `f`, setting suppressed/reason.
-  void Apply(Finding& f) const;
-};
-
-Suppressions ParseSuppressions(const std::string& source);
 
 // Harvests KD_LANE_OWNED/KD_LANE_SEAM class annotations and
 // lane-owned accessor signatures from one source file into the
@@ -106,14 +84,6 @@ std::vector<Finding> AnalyzeSource(const std::string& path,
                                    const std::string& sibling_header,
                                    const Options& opts);
 
-// True if `rule` applies to `path` under --repo-scope (always true
-// when repo scoping is off).
-bool RuleAppliesTo(const Options& opts, const std::string& rule,
-                   const std::string& path);
-
-// JSON-escapes a string body (no surrounding quotes).
-std::string JsonEscape(const std::string& s);
-
 // One finding as a single-line JSON object (stable field order; the
 // test suite and CI log scrapers rely on one-object-per-line).
 std::string ToJson(const Finding& f);
@@ -122,13 +92,5 @@ std::string ToJson(const Finding& f);
 // Suppressed findings are emitted with an inSource suppression so the
 // exception inventory shows up in the scanning UI too.
 std::string ToSarif(const std::vector<Finding>& findings);
-
-#if defined(KDLINT_HAVE_LIBCLANG)
-// AST-accurate backend over compile_commands.json. Returns false (with
-// a message on stderr) if the compilation database cannot be loaded.
-bool RunClangMode(const std::vector<std::string>& files,
-                  const std::string& compile_commands_dir,
-                  const Options& opts, std::vector<Finding>& out);
-#endif
 
 }  // namespace kdlint

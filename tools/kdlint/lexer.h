@@ -1,4 +1,4 @@
-// Minimal C++ token scanner for kdlint's fallback (libclang-free) mode.
+// Minimal C++ token scanner for kdlint's analyzer.
 //
 // This is not a compiler front end: it produces a flat token stream
 // with line numbers, which is all the kdlint rules need. It does get

@@ -2,10 +2,12 @@
 // reporting. See kdlint.h for the rule catalogue and LINT.md for the
 // full manual.
 //
-//   kdlint [--mode=auto|token|clang] [--json] [--sarif] [--rules=R1,R2]
+//   kdlint [--mode=auto|token] [--json] [--sarif] [--rules=R1,R2]
 //          [--repo-scope] [--show-suppressed] [--baseline=FILE]
-//          [--write-baseline=FILE] [--compile-commands=DIR]
-//          [--capabilities] <file-or-dir>...
+//          [--write-baseline=FILE] [--capabilities] <file-or-dir>...
+//
+// There is one analyzer (token mode); `--mode` accepts only the values
+// that name it.
 //
 // Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/IO error.
 #include <algorithm>
@@ -26,25 +28,22 @@ namespace fs = std::filesystem;
 
 struct Cli {
   Options opts;
-  std::string mode = "auto";
   bool json = false;
   bool sarif = false;
   bool capabilities = false;
   std::string baseline_in;
   std::string baseline_out;
-  std::string compile_commands_dir;
   std::vector<std::string> paths;
 };
 
 int Usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
-      << " [--mode=auto|token|clang] [--json] [--sarif] [--rules=R1,..] "
+      << " [--mode=auto|token] [--json] [--sarif] [--rules=R1,..] "
          "[--repo-scope]\n"
          "       [--show-suppressed] [--baseline=FILE] "
          "[--write-baseline=FILE]\n"
-         "       [--compile-commands=DIR] [--capabilities] "
-         "<file-or-dir>...\n";
+         "       [--capabilities] <file-or-dir>...\n";
   return 2;
 }
 
@@ -66,10 +65,8 @@ bool ParseArgs(int argc, char** argv, Cli& cli) {
     } else if (arg == "--capabilities") {
       cli.capabilities = true;
     } else if (StartsWith(arg, "--mode=")) {
-      cli.mode = arg.substr(7);
-      if (cli.mode != "auto" && cli.mode != "token" && cli.mode != "clang") {
-        return false;
-      }
+      const std::string mode = arg.substr(7);
+      if (mode != "auto" && mode != "token") return false;
     } else if (StartsWith(arg, "--rules=")) {
       std::stringstream ss(arg.substr(8));
       std::string rule;
@@ -80,8 +77,6 @@ bool ParseArgs(int argc, char** argv, Cli& cli) {
       cli.baseline_in = arg.substr(11);
     } else if (StartsWith(arg, "--write-baseline=")) {
       cli.baseline_out = arg.substr(17);
-    } else if (StartsWith(arg, "--compile-commands=")) {
-      cli.compile_commands_dir = arg.substr(19);
     } else if (!arg.empty() && arg[0] == '-') {
       return false;
     } else {
@@ -170,20 +165,12 @@ void RunTokenMode(const std::vector<std::string>& files, const Options& opts,
   }
 }
 
-bool ClangModeAvailable() {
-#if defined(KDLINT_HAVE_LIBCLANG)
-  return true;
-#else
-  return false;
-#endif
-}
-
 int Main(int argc, char** argv) {
   Cli cli;
   if (!ParseArgs(argc, argv, cli)) return Usage(argv[0]);
   if (cli.capabilities) {
-    std::cout << "modes: token" << (ClangModeAvailable() ? " clang" : "")
-              << "\nrules: R0 R1 R2 R3 R4 R5 R6 R7 R8 R9\n"
+    std::cout << "modes: token\n"
+              << "rules: R0 R1 R2 R3 R4 R5 R6 R7 R8\n"
               << "outputs: text json sarif\n";
     return 0;
   }
@@ -194,13 +181,6 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  std::string mode = cli.mode;
-  if (mode == "auto") mode = ClangModeAvailable() ? "clang" : "token";
-  if (mode == "clang" && !ClangModeAvailable()) {
-    std::cerr << "kdlint: built without libclang; clang mode unavailable\n";
-    return 2;
-  }
-
   bool ok = true;
   const std::vector<std::string> files = CollectFiles(cli.paths, ok);
   if (!ok) return 2;
@@ -208,7 +188,7 @@ int Main(int argc, char** argv) {
   // Cross-TU pre-pass for R7/R8: harvest every KD_LANE_OWNED /
   // KD_LANE_SEAM annotation (and lane-owned accessor signature) from
   // all input files plus their sibling headers, so per-file analysis
-  // in either backend sees the whole ownership model even when the
+  // sees the whole ownership model even when the
   // annotation lives in a header the input never includes.
   for (const std::string& file : files) {
     std::string source;
@@ -225,15 +205,7 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<Finding> findings;
-  if (mode == "clang") {
-#if defined(KDLINT_HAVE_LIBCLANG)
-    if (!RunClangMode(files, cli.compile_commands_dir, cli.opts, findings)) {
-      return 2;
-    }
-#endif
-  } else {
-    RunTokenMode(files, cli.opts, findings);
-  }
+  RunTokenMode(files, cli.opts, findings);
 
   if (!cli.baseline_out.empty()) {
     std::ofstream out(cli.baseline_out);
@@ -280,8 +252,7 @@ int Main(int argc, char** argv) {
   }
   std::cerr << "kdlint: " << unsuppressed << " finding"
             << (unsuppressed == 1 ? "" : "s") << " (" << suppressed
-            << " suppressed) in " << files.size() << " files [" << mode
-            << " mode]\n";
+            << " suppressed) in " << files.size() << " files [token mode]\n";
   return unsuppressed == 0 ? 0 : 1;
 }
 

@@ -1,4 +1,5 @@
-// Token-mode implementations of R1-R5 plus suppression handling.
+// kdlint's analyzer: token-pattern implementations of R0-R8 plus
+// suppression handling.
 //
 // The analyses are deliberately structural rather than semantic: each
 // rule keys off token patterns that are unambiguous in this codebase's
@@ -62,32 +63,6 @@ const std::set<std::string>& OrderEscapingCalls() {
 const std::set<std::string>& ScheduleEntryPoints() {
   static const std::set<std::string> kSet = {"ScheduleAt", "ScheduleAfter",
                                              "Schedule"};
-  return kSet;
-}
-
-// R9: raw threading primitives. Parallel execution is the engine's
-// job (src/sim, PARALLEL MODE): product code runs single-lane between
-// barrier epochs, so a thread, lock, or atomic of its own would race
-// the deterministic schedule the engine replays. The sanctioned
-// wrapper for the few commutative cross-lane seams is sim::SeamLock
-// (src/sim/seam_lock.h). `thread` and `atomic` are common enough
-// words that only their std-qualified / template forms are flagged
-// (see RunR9).
-const std::set<std::string>& BannedThreadingIdents() {
-  static const std::set<std::string> kSet = {
-      "jthread",          "mutex",
-      "recursive_mutex",  "timed_mutex",
-      "recursive_timed_mutex",
-      "shared_mutex",     "shared_timed_mutex",
-      "condition_variable", "condition_variable_any",
-      "atomic_flag",      "atomic_thread_fence",
-      "atomic_signal_fence",
-      "lock_guard",       "unique_lock",
-      "scoped_lock",      "shared_lock",
-      "call_once",        "once_flag",
-      "memory_order_relaxed", "memory_order_acquire",
-      "memory_order_release", "memory_order_acq_rel",
-      "memory_order_seq_cst"};
   return kSet;
 }
 
@@ -450,39 +425,6 @@ void RunR6(const std::string& path, const Tokens& t,
   }
 }
 
-// R9 over one token stream: no raw threading primitives outside the
-// engine. Most of the banned names (mutex, lock_guard, once_flag...)
-// are unambiguous; `thread` and `atomic` are ordinary words, so they
-// are flagged only as `std::thread` / `std::atomic` / `atomic<...>`.
-// Member accesses (`seam.mutex()`) name somebody else's API and stay
-// quiet, mirroring R1.
-void RunR9(const std::string& path, const Tokens& t,
-           std::vector<Finding>& out) {
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent) continue;
-    const std::string& id = t[i].text;
-    bool hit = BannedThreadingIdents().count(id) > 0;
-    if (!hit && (id == "thread" || id == "atomic")) {
-      const bool std_qualified = i >= 3 && Is(t, i - 1, ":") &&
-                                 Is(t, i - 2, ":") && Is(t, i - 3, "std");
-      hit = std_qualified || (id == "atomic" && Is(t, i + 1, "<"));
-    }
-    if (!hit) continue;
-    if (i >= 1 && (Is(t, i - 1, ".") ||
-                   (i >= 2 && Is(t, i - 1, ">") && Is(t, i - 2, "-")))) {
-      continue;
-    }
-    out.push_back({path, t[i].line, "R9",
-                   "raw threading primitive '" + id +
-                       "' - parallelism is the engine's job (src/sim); "
-                       "product code runs single-lane between barrier "
-                       "epochs and must use sim::SeamLock for the "
-                       "sanctioned commutative seams",
-                   false,
-                   ""});
-  }
-}
-
 // --- R7/R8: lane-ownership analysis --------------------------------
 //
 // The ownership model is declared with KD_LANE_OWNED/KD_LANE_SEAM
@@ -759,7 +701,22 @@ void RunLaneRules(const std::string& path, const Tokens& t,
   }
 }
 
-}  // namespace
+// Per-file suppression state parsed from raw source lines.
+struct Suppressions {
+  // line -> rules allowed on that line (an entry covering line N also
+  // covers findings reported on line N when the comment sits on N-1).
+  std::map<int, std::set<std::string>> by_line;
+  std::map<int, std::string> reason_by_line;
+  std::set<std::string> whole_file;
+  std::string whole_file_reason;
+  // Suppression comments with an empty reason: line -> the rule list
+  // text. They are rejected (no suppression effect) and reported as
+  // R0 so the exception inventory stays auditable.
+  std::map<int, std::string> missing_reason;
+
+  // Applies suppression state to `f`, setting suppressed/reason.
+  void Apply(Finding& f) const;
+};
 
 void Suppressions::Apply(Finding& f) const {
   if (whole_file.count(f.rule) > 0) {
@@ -843,6 +800,8 @@ Suppressions ParseSuppressions(const std::string& source) {
   return sup;
 }
 
+// True if `rule` applies to `path` under --repo-scope (always true
+// when repo scoping is off).
 bool RuleAppliesTo(const Options& opts, const std::string& rule,
                    const std::string& path) {
   if (!opts.repo_scope) return true;
@@ -852,12 +811,13 @@ bool RuleAppliesTo(const Options& opts, const std::string& rule,
   };
   if (!under("src/")) return false;       // tests/bench own their idioms
   if (rule == "R1") return !under("src/sim/");  // the engine owns time
-  if (rule == "R9") return !under("src/sim/");  // ...and all threads
   if (rule == "R5") return under("src/controllers/") || under("src/faas/");
   // The router itself is the one place allowed to do shard arithmetic.
   if (rule == "R6") return !under("src/apiserver/");
   return true;
 }
+
+}  // namespace
 
 void HarvestLaneIndex(const std::string& source, Options& opts) {
   const Tokens t = Lex(source);
@@ -927,7 +887,6 @@ std::vector<Finding> AnalyzeSource(const std::string& path,
   if (want("R4")) RunR4(path, toks, out);
   if (want("R5")) RunR5(path, toks, decls, out);
   if (want("R6")) RunR6(path, toks, out);
-  if (want("R9")) RunR9(path, toks, out);
   if ((want("R7") || want("R8")) && !opts.lane_of.empty()) {
     std::map<std::string, std::string> lane_vars;
     HarvestLaneVars(toks, opts, lane_vars);
@@ -963,6 +922,9 @@ std::vector<Finding> AnalyzeSource(const std::string& path,
   return out;
 }
 
+namespace {
+
+// JSON-escapes a string body (no surrounding quotes).
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -985,6 +947,8 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+}  // namespace
 
 std::string ToJson(const Finding& f) {
   std::string out = "{\"file\":\"" + JsonEscape(f.file) + "\"";
@@ -1009,7 +973,6 @@ std::string ToSarif(const std::vector<Finding>& findings) {
       {"R6", "shard routing goes through ShardRouter"},
       {"R7", "events may only reach state owned by their lane"},
       {"R8", "no raw cross-lane handles stored or captured across events"},
-      {"R9", "no raw threading primitives outside the engine (src/sim)"},
   };
   std::string out;
   out += "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",";
