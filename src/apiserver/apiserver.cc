@@ -70,9 +70,8 @@ void ApiServer::Broadcast(WatchEventType type, const model::ApiObject& obj) {
     WatchCallback cb = watcher.cb;
     WatchEvent event{type, obj};
     const std::uint64_t epoch = epoch_;
-    // Sanctioned seam: the delivery runs in the subscriber's lane.
-    engine_.ScheduleSeamAfter(
-        watcher.lane, delay,
+    engine_.ScheduleAfter(
+        delay,
         [this, epoch, cb = std::move(cb), event = std::move(event)]() mutable {
           // Deliveries in flight at crash time die with the stream.
           if (epoch != epoch_) return;
@@ -86,20 +85,16 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
                       std::size_t response_bytes, bool is_write,
                       std::function<CommitResult()> commit,
                       std::function<void(CommitResult)> respond) {
-  // The lane of the context that dispatched the request (the client's
-  // component). The response — and the dead-server deadline expiry —
-  // travel back there.
-  const LaneId reply_lane = engine_.seam_origin_lane();
   if (!up_) {
     // Dead server: the request neither queues nor commits — it hangs
     // until the client-side per-attempt deadline expires.
     metrics_.Count("api_deadline_exceeded");
-    engine_.ScheduleSeamAfter(reply_lane, cost_.api_request_deadline,
-                              [respond = std::move(respond)]() mutable {
-                                respond({DeadlineExceededError(
-                                             "API server unavailable"),
-                                         {}});
-                              });
+    engine_.ScheduleAfter(cost_.api_request_deadline,
+                          [respond = std::move(respond)]() mutable {
+                            respond({DeadlineExceededError(
+                                         "API server unavailable"),
+                                     {}});
+                          });
     return;
   }
   metrics_.Count(is_write ? "api_writes" : "api_reads");
@@ -117,7 +112,7 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
   metrics_.RecordMax("api.inflight_max",
                      static_cast<std::int64_t>(pending_.size()));
 
-  auto finish = [this, id, epoch, arrival, response_bytes, reply_lane,
+  auto finish = [this, id, epoch, arrival, response_bytes,
                  respond_shared](CommitResult result, Time commit_done) {
     const Duration response_ser = static_cast<Duration>(
         static_cast<double>(response_bytes) * cost_.serialize_ns_per_byte);
@@ -125,15 +120,15 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
         commit_done + response_ser + cost_.api_network_latency;
     metrics_.Count("api_bytes_out",
                    static_cast<std::int64_t>(response_bytes));
-    engine_.ScheduleSeamAt(reply_lane, respond_at,
-                           [this, id, epoch, arrival, respond_shared,
-                            result = std::move(result)]() mutable {
-                             if (epoch != epoch_) return;
-                             pending_.erase(id);
-                             metrics_.RecordDuration("api_call_latency",
-                                                     engine_.now() - arrival);
-                             (*respond_shared)(std::move(result));
-                           });
+    engine_.ScheduleAt(respond_at,
+                       [this, id, epoch, arrival, respond_shared,
+                        result = std::move(result)]() mutable {
+                         if (epoch != epoch_) return;
+                         pending_.erase(id);
+                         metrics_.RecordDuration("api_call_latency",
+                                                 engine_.now() - arrival);
+                         (*respond_shared)(std::move(result));
+                       });
   };
 
   // Admission, then the worker pool. With APF disabled `Submit` runs
@@ -394,17 +389,16 @@ void ApiServer::HandleListAt(
 }
 
 WatchId ApiServer::Watch(const std::string& kind, WatchCallback cb) {
-  return Watch(kind, nullptr, std::move(cb), nullptr, kNoLane);
+  return Watch(kind, nullptr, std::move(cb), nullptr);
 }
 
 WatchId ApiServer::Watch(const std::string& kind,
                          std::function<bool(const model::ApiObject&)> filter,
-                         WatchCallback cb, WatchBreakCallback on_break,
-                         LaneId lane) {
+                         WatchCallback cb, WatchBreakCallback on_break) {
   if (!up_) return 0;  // nothing to connect to; caller retries
   const WatchId id = next_watch_id_++;
   watchers_[kind][id] =
-      Watcher{std::move(filter), std::move(cb), std::move(on_break), lane};
+      Watcher{std::move(filter), std::move(cb), std::move(on_break)};
   watch_kinds_[id] = kind;
   return id;
 }

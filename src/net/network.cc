@@ -45,26 +45,15 @@ class Connection : public std::enable_shared_from_this<Connection> {
     if (deliver_at < to.next_delivery_time) deliver_at = to.next_delivery_time;
     to.next_delivery_time = deliver_at;
 
-    // Sanctioned seam: delivery executes in the receiving endpoint's
-    // lane. The receiver lane is resolved at send time; the
-    // LaneScope below re-resolves at delivery for the checker, which
-    // yields the same lane for any registered endpoint (same address
-    // <=> same lane name).
-    Endpoint* to_ep = network_.Find(to.address);
-    const LaneId to_lane = to_ep != nullptr ? to_ep->lane() : kNoLane;
     auto weak = weak_from_this();
     const int to_side = 1 - from_side;
-    engine.ScheduleSeamAt(
-        to_lane, deliver_at,
+    engine.ScheduleAt(
+        deliver_at,
         [weak, to_side, frame = std::move(frame)]() mutable {
           auto conn = weak.lock();
           if (!conn || !conn->open_) return;  // dropped in flight
           Side& side = conn->sides_[to_side];
           if (side.closed_seen) return;
-          Network& net = conn->network_;
-          Endpoint* ep = net.Find(side.address);
-          sim::LaneScope lane_scope(net.engine().lane_checker(),
-                                    ep != nullptr ? ep->lane() : kNoLane);
           if (side.on_message) side.on_message(std::move(frame));
         });
     return OkStatus();
@@ -106,21 +95,13 @@ class Connection : public std::enable_shared_from_this<Connection> {
       sides_[side].closed_seen = true;  // silent: crashed process
       return;
     }
-    // Seam to the notified side's lane; an active local close
-    // (delay 0) targets the closer's own lane.
-    Endpoint* side_ep = network_.Find(sides_[side].address);
-    const LaneId side_lane = side_ep != nullptr ? side_ep->lane() : kNoLane;
     auto weak = weak_from_this();
-    network_.engine().ScheduleSeamAfter(side_lane, delay, [weak, side] {
+    network_.engine().ScheduleAfter(delay, [weak, side] {
       auto conn = weak.lock();
       if (!conn) return;
       Side& s = conn->sides_[side];
       if (s.closed_seen) return;
       s.closed_seen = true;
-      Network& net = conn->network_;
-      Endpoint* ep = net.Find(s.address);
-      sim::LaneScope lane_scope(net.engine().lane_checker(),
-                                ep != nullptr ? ep->lane() : kNoLane);
       if (s.on_disconnect) s.on_disconnect();
     });
   }
@@ -277,28 +258,17 @@ void Endpoint::Connect(const std::string& to,
   // half-open connection to a dead process.
   const std::uint64_t from_epoch = net.crash_epoch(from);
   const std::uint64_t to_epoch = net.crash_epoch(to);
-  // The SYN lands in the target's lane. An unregistered target
-  // resolves to kNoLane; the closure re-checks liveness.
-  Endpoint* syn_target = net.Find(to);
-  const LaneId syn_lane = syn_target != nullptr ? syn_target->lane() : kNoLane;
-  net.engine_.ScheduleSeamAfter(syn_lane, net.config_.latency,
-                                [&net, from, to, from_epoch, to_epoch,
-                                 done = std::move(done)]() {
+  net.engine_.ScheduleAfter(net.config_.latency,
+                            [&net, from, to, from_epoch, to_epoch,
+                             done = std::move(done)]() {
     if (net.crash_epoch(from) != from_epoch) return;  // connector died
     Endpoint* target = net.Find(to);
-    Endpoint* connector = net.Find(from);
-    const LaneId from_lane = connector != nullptr ? connector->lane() : kNoLane;
     if (target == nullptr || !target->listening() ||
         !net.Reachable(from, to) || net.crash_epoch(to) != to_epoch) {
-      // Connect-timeout report travels back to the connector's lane.
-      net.engine_.ScheduleSeamAfter(
-          from_lane, net.config_.disconnect_detect_delay,
+      net.engine_.ScheduleAfter(
+          net.config_.disconnect_detect_delay,
           [&net, done = std::move(done), from, from_epoch, to] {
             if (net.crash_epoch(from) != from_epoch) return;
-            Endpoint* self = net.Find(from);
-            sim::LaneScope lane_scope(
-                net.engine_.lane_checker(),
-                self != nullptr ? self->lane() : kNoLane);
             done(UnavailableError("connect to " + to + " failed"));
           });
       return;
@@ -306,18 +276,12 @@ void Endpoint::Connect(const std::string& to,
     auto conn = std::make_shared<Connection>(net, from, to);
     net.connections_.insert(conn);
     auto server_handle = std::make_shared<ConnHandle>(conn, 1);
-    {
-      sim::LaneScope lane_scope(net.engine_.lane_checker(), target->lane());
-      target->on_accept_(server_handle);
-    }
-    // SYN-ACK: back to the connector's lane after one-way latency.
-    net.engine_.ScheduleSeamAfter(from_lane, net.config_.latency,
-                                  [&net, conn, from, from_epoch, to,
-                                   done = std::move(done)]() {
+    target->on_accept_(server_handle);
+    // SYN-ACK: back to the connector after one-way latency.
+    net.engine_.ScheduleAfter(net.config_.latency,
+                              [&net, conn, from, from_epoch, to,
+                               done = std::move(done)]() {
       if (net.crash_epoch(from) != from_epoch) return;  // connector died
-      Endpoint* self = net.Find(from);
-      sim::LaneScope lane_scope(net.engine_.lane_checker(),
-                                self != nullptr ? self->lane() : kNoLane);
       if (!conn->open() || !net.Reachable(from, to)) {
         done(UnavailableError("connection lost during setup"));
         return;

@@ -176,12 +176,6 @@ class KD_LANE_SEAM Endpoint {
   const std::string& address() const { return address_; }
   Network& network() { return network_; }
 
-  // Lane-checker seam: message/disconnect/accept callbacks delivered
-  // to this endpoint run re-scoped to its owning component's lane
-  // (kNoLane for unwired endpoints — their callbacks stay unchecked).
-  void SetLane(LaneId lane) { lane_ = lane; }
-  LaneId lane() const { return lane_; }
-
   // Accept handler for inbound connections; replaces any previous one.
   void Listen(std::function<void(ConnHandlePtr)> on_accept);
   bool listening() const { return static_cast<bool>(on_accept_); }
@@ -203,7 +197,6 @@ class KD_LANE_SEAM Endpoint {
   Network& network_;
   std::string address_;
   std::function<void(ConnHandlePtr)> on_accept_;
-  LaneId lane_ = kNoLane;
 };
 
 }  // namespace kd::net

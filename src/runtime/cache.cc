@@ -3,7 +3,6 @@
 namespace kd::runtime {
 
 const model::ApiObject* ObjectCache::Get(const std::string& key) const {
-  TouchLane(key, /*write=*/false);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.invalid) return nullptr;
   return &it->second.object;
@@ -15,7 +14,6 @@ const model::ApiObject* ObjectCache::Get(const std::string& key) const {
 // O(total entries) — these run inside controller reconcile loops.
 std::vector<const model::ApiObject*> ObjectCache::List(
     const std::string& kind) const {
-  TouchLane(kind + "/*", /*write=*/false);
   std::vector<const model::ApiObject*> out;
   const std::string prefix = kind + "/";
   for (auto it = entries_.lower_bound(prefix);
@@ -28,7 +26,6 @@ std::vector<const model::ApiObject*> ObjectCache::List(
 }
 
 std::size_t ObjectCache::VisibleCount(const std::string& kind) const {
-  TouchLane(kind + "/*", /*write=*/false);
   std::size_t n = 0;
   const std::string prefix = kind + "/";
   for (auto it = entries_.lower_bound(prefix);
@@ -48,7 +45,6 @@ void ObjectCache::FireChange(const std::string& key,
 
 void ObjectCache::Upsert(model::ApiObject obj) {
   const std::string key = obj.Key();
-  TouchLane(key, /*write=*/true);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     auto [ins, ok] = entries_.emplace(key, Entry{std::move(obj), false});
@@ -64,7 +60,6 @@ void ObjectCache::Upsert(model::ApiObject obj) {
 }
 
 void ObjectCache::Remove(const std::string& key) {
-  TouchLane(key, /*write=*/true);
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
   const bool was_visible = !it->second.invalid;
@@ -74,7 +69,6 @@ void ObjectCache::Remove(const std::string& key) {
 }
 
 void ObjectCache::MarkInvalid(const std::string& key) {
-  TouchLane(key, /*write=*/true);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.invalid) return;
   it->second.invalid = true;
@@ -82,19 +76,16 @@ void ObjectCache::MarkInvalid(const std::string& key) {
 }
 
 bool ObjectCache::IsInvalid(const std::string& key) const {
-  TouchLane(key, /*write=*/false);
   auto it = entries_.find(key);
   return it != entries_.end() && it->second.invalid;
 }
 
 void ObjectCache::DropInvalid(const std::string& key) {
-  TouchLane(key, /*write=*/true);
   auto it = entries_.find(key);
   if (it != entries_.end() && it->second.invalid) entries_.erase(it);
 }
 
 std::vector<std::string> ObjectCache::InvalidKeys() const {
-  TouchLane("*", /*write=*/false);
   std::vector<std::string> out;
   for (const auto& [key, entry] : entries_) {
     if (entry.invalid) out.push_back(key);
@@ -103,12 +94,10 @@ std::vector<std::string> ObjectCache::InvalidKeys() const {
 }
 
 void ObjectCache::Clear() {
-  TouchLane("*", /*write=*/true);
   entries_.clear();
 }
 
 std::vector<model::ApiObject> ObjectCache::Snapshot() const {
-  TouchLane("*", /*write=*/false);
   std::vector<model::ApiObject> out;
   out.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) {
@@ -118,7 +107,6 @@ std::vector<model::ApiObject> ObjectCache::Snapshot() const {
 }
 
 std::map<std::string, std::uint64_t> ObjectCache::VersionMap() const {
-  TouchLane("*", /*write=*/false);
   std::map<std::string, std::uint64_t> out;
   // entries_ is sorted, so hinting at end() makes each insert O(1).
   for (const auto& [key, entry] : entries_) {
@@ -131,14 +119,12 @@ std::map<std::string, std::uint64_t> ObjectCache::VersionMap() const {
 
 void ObjectCache::ForEachVisible(
     const std::function<void(const model::ApiObject&)>& fn) const {
-  TouchLane("*", /*write=*/false);
   for (const auto& [key, entry] : entries_) {
     if (!entry.invalid) fn(entry.object);
   }
 }
 
 std::size_t ObjectCache::size() const {
-  TouchLane("*", /*write=*/false);
   std::size_t n = 0;
   for (const auto& [key, entry] : entries_) {
     if (!entry.invalid) ++n;

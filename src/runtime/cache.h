@@ -20,9 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "common/lane.h"
 #include "model/objects.h"
-#include "sim/lane_checker.h"
 
 namespace kd::runtime {
 
@@ -77,19 +75,6 @@ class ObjectCache {
 
   std::size_t size() const;  // visible entries
 
-  // --- lane-ownership instrumentation ------------------------------
-  // Binds this cache to its owning lane: from then on every read and
-  // mutation reports to the checker, which flags touches from other
-  // live lanes (see sim/lane_checker.h). Unbound caches (tests,
-  // scratch) are never checked.
-  void BindLane(sim::LaneChecker* checker, LaneId lane, std::string site) {
-    checker_ = checker;
-    lane_ = lane;
-    site_ = std::move(site);
-  }
-  sim::LaneChecker* lane_checker() const { return checker_; }
-  LaneId bound_lane() const { return lane_; }
-
  private:
   struct Entry {
     model::ApiObject object;
@@ -99,16 +84,8 @@ class ObjectCache {
   void FireChange(const std::string& key, const model::ApiObject* before,
                   const model::ApiObject* after);
 
-  // One predicted branch when unbound or the checker is disabled.
-  void TouchLane(const std::string& key, bool write) const {
-    if (checker_ != nullptr) checker_->Touch(this, site_, lane_, key, write);
-  }
-
   std::map<std::string, Entry> entries_;
   std::vector<ChangeHandler> handlers_;
-  sim::LaneChecker* checker_ = nullptr;
-  LaneId lane_ = kNoLane;
-  std::string site_;
 };
 
 }  // namespace kd::runtime

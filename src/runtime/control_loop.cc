@@ -48,9 +48,6 @@ void ControlLoop::Dispatch(std::uint64_t generation) {
   if (generation != generation_) return;  // crashed/cleared since
   dispatch_scheduled_ = false;
   if (paused_ || queue_.empty()) return;
-  // Sanctioned seam: whatever lane's event enqueued this key, the
-  // reconcile itself runs in the owning component's lane.
-  sim::LaneScope lane_scope(engine_.lane_checker(), lane_);
 
   const std::string key = queue_.front();
   queue_.pop_front();

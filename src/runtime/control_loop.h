@@ -58,11 +58,6 @@ class KD_LANE_SEAM ControlLoop {
   std::uint64_t processed() const { return processed_; }
   const std::string& name() const { return name_; }
 
-  // Lane-checker seam: Dispatch re-scopes to this lane before running
-  // the reconciler, so reconcile code always executes in its
-  // component's lane regardless of which event enqueued the key.
-  void SetLane(LaneId lane) { lane_ = lane; }
-
  private:
   void ScheduleDispatch(Time at);
   void Dispatch(std::uint64_t generation);
@@ -85,7 +80,6 @@ class KD_LANE_SEAM ControlLoop {
   // Bumped by Clear(); stale dispatch events check it and abort.
   std::uint64_t generation_ = 0;
   std::uint64_t processed_ = 0;
-  LaneId lane_ = kNoLane;
   Time busy_until_ = 0;
   // "<name>.active" busy time: union of intervals with queued or
   // executing work (the isolated stage time of the breakdown figures).

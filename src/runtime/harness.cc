@@ -12,13 +12,6 @@ ControllerHarness::ControllerHarness(Env& env, Mode mode, Options options)
            options_.burst, options_.api_metrics ? &env.metrics : nullptr),
       loop_(env.engine, env.cost, options_.name, &env.metrics),
       endpoint_(env.network, options_.address) {
-  // One runtime lane per controller instance: reconciles, message
-  // handlers, and lifecycle hooks all execute inside it, and the
-  // tracked caches are bound to it (see sim/lane_checker.h).
-  lane_ = env_.engine.lane_checker().RegisterLane(options_.name);
-  loop_.SetLane(lane_);
-  endpoint_.SetLane(lane_);
-  api_.SetLane(lane_);
   // A fired crash seam surprise-shuts this controller down. The crash
   // is deferred one engine step: the seam fires from inside a
   // HierarchyClient/Server message handler or a tombstone Add — code
@@ -95,8 +88,6 @@ void ControllerHarness::TrackCache(ObjectCache& cache) {
   for (ObjectCache* tracked : tracked_caches_) {
     if (tracked == &cache) return;
   }
-  cache.BindLane(&env_.engine.lane_checker(), lane_,
-                 options_.name + ".cache");
   tracked_caches_.push_back(&cache);
 }
 
@@ -132,9 +123,6 @@ void ControllerHarness::ArmRawWatch(std::size_t index, int shard,
       binding.kind, binding.filter,
       [this, index](const apiserver::WatchEvent& e) {
         if (crashed_) return;
-        // Sanctioned seam: raw-watch delivery runs the policy handler
-        // in this controller's lane.
-        sim::LaneScope lane_scope(env_.engine.lane_checker(), lane_);
         WatchBinding& b = watches_[index];
         switch (e.type) {
           case apiserver::WatchEventType::kAdded:
@@ -147,8 +135,7 @@ void ControllerHarness::ArmRawWatch(std::size_t index, int shard,
         }
         b.handler(e);
       },
-      [this, index, shard, epoch] { OnRawWatchBreak(index, shard, epoch); },
-      lane_);
+      [this, index, shard, epoch] { OnRawWatchBreak(index, shard, epoch); });
   if (st.id == 0) {
     // Shard down: keep retrying until registration sticks.
     env_.engine.ScheduleAfter(
@@ -196,7 +183,6 @@ void ControllerHarness::RelistRawWatch(std::size_t index, int shard,
         WatchBinding& b = watches_[index];
         WatchShardState& st = b.shards[static_cast<std::size_t>(shard)];
         if (crashed_ || st.arm_epoch != epoch) return;
-        sim::LaneScope lane_scope(env_.engine.lane_checker(), lane_);
         if (!objects.ok()) {
           // Crashed again before the list landed: restart the chain.
           if (st.active) {
@@ -257,10 +243,6 @@ void ControllerHarness::RelistRawWatch(std::size_t index, int shard,
 }
 
 void ControllerHarness::Start() {
-  // Lifecycle runs in the component's own lane: informer seeding,
-  // cache clears, and policy hooks count as the owner's touches even
-  // when the driver (no lane) or a deferred crash event triggers them.
-  sim::LaneScope lane_scope(env_.engine.lane_checker(), lane_);
   if (crashed_) {
     // Restart after a crash: injected faults die with the process, and
     // the client's fault counters zero like a fresh exporter's
@@ -323,7 +305,6 @@ void ControllerHarness::Start() {
 }
 
 void ControllerHarness::Crash() {
-  sim::LaneScope lane_scope(env_.engine.lane_checker(), lane_);
   crashed_ = true;
   if (on_crash_) on_crash_();
   // A dead process cannot re-send: its client's queued retries must

@@ -152,8 +152,6 @@ class KD_LANE_SEAM ControllerHarness {
   // --- accessors ------------------------------------------------------
   Env& env() { return env_; }
   Mode mode() const { return mode_; }
-  // This controller's runtime lane (registered under options.name).
-  LaneId lane() const { return lane_; }
   bool crashed() const { return crashed_; }
   // Crash-restart epoch: bumped on every Start (1 after the first).
   std::uint64_t session() const { return session_; }
@@ -232,7 +230,6 @@ class KD_LANE_SEAM ControllerHarness {
   Env& env_;
   Mode mode_;
   Options options_;
-  LaneId lane_ = kNoLane;
   apiserver::ApiClient api_;
   ControlLoop loop_;
   net::Endpoint endpoint_;

@@ -27,7 +27,7 @@ void Informer::StartSource(int s) {
   src.watch_id = server.Watch(
       kind_, nullptr,
       [this, s](const apiserver::WatchEvent& event) { HandleEvent(s, event); },
-      [this, s] { OnWatchBreak(s); }, cache_.bound_lane());
+      [this, s] { OnWatchBreak(s); });
   if (src.watch_id == 0) {
     const std::uint64_t session = session_;
     server.engine().ScheduleAfter(server.cost().watch_retry_backoff,
@@ -48,9 +48,6 @@ void Informer::RunInitialList(int s) {
       s, kind_,
       [this, session, s](StatusOr<std::vector<model::ApiObject>> result) {
         if (session != session_ || !running_) return;
-        // Sanctioned seam: the initial-list merge writes the owner's
-        // cache from an API-server response event.
-        sim::LaneScope lane_scope(cache_.lane_checker(), cache_.bound_lane());
         if (!result.ok()) {
           // Shard died mid-sync (transport failure after retries). The
           // broken-watch path re-arms the stream; the initial list
@@ -103,9 +100,6 @@ void Informer::Stop() {
 }
 
 void Informer::HandleEvent(int s, const apiserver::WatchEvent& event) {
-  // Sanctioned seam: the watch hub delivers events from whatever lane
-  // committed the write; the merge runs in the cache owner's lane.
-  sim::LaneScope lane_scope(cache_.lane_checker(), cache_.bound_lane());
   switch (event.type) {
     case apiserver::WatchEventType::kAdded:
     case apiserver::WatchEventType::kModified:
@@ -157,7 +151,7 @@ void Informer::Rearm(int s) {
   src.watch_id = server.Watch(
       kind_, nullptr,
       [this, s](const apiserver::WatchEvent& event) { HandleEvent(s, event); },
-      [this, s] { OnWatchBreak(s); }, cache_.bound_lane());
+      [this, s] { OnWatchBreak(s); });
   if (src.watch_id == 0) {
     ScheduleRearm(s);  // Still down.
     return;
@@ -191,7 +185,6 @@ void Informer::Rearm(int s) {
 
 void Informer::ApplySnapshot(int s, std::vector<model::ApiObject> objects,
                              std::uint64_t revision) {
-  sim::LaneScope lane_scope(cache_.lane_checker(), cache_.bound_lane());
   std::set<std::string> snapshot_keys;
   for (auto& obj : objects) {
     snapshot_keys.insert(obj.Key());

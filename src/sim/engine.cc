@@ -33,19 +33,12 @@ void Engine::Fire(const LaneQueue::Fired& fired) {
   ++processed_;
   const EventId id = MakeEventId(fired.slot, fired.generation);
   if (trace_hook_) trace_hook_(now(), fired.seq, id);
-  // Restore the event's lane for the lane checker; the guard resets it
-  // when the closure unwinds (normally or by throw) so no lane leaks
-  // into engine-internal code between events.
-  if (lane_checker_.enabled()) {
-    lane_checker_.BeginEvent(now(), fired.seq, slot.lane);
-  }
-  origin_ = slot.origin;
+  // The guard recycles the slot when the closure unwinds, normally or
+  // by throw.
   struct FireGuard {
     Engine* engine;
     std::uint32_t index;
     ~FireGuard() {
-      engine->lane_checker_.SetCurrentLane(kNoLane);
-      engine->origin_ = kNoLane;
       LaneQueue::DestroyClosure(engine->queue_.SlotAt(index));
       engine->queue_.FreeSlot(index);
     }

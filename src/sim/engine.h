@@ -22,10 +22,8 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/lane.h"
 #include "common/rng.h"
 #include "common/time.h"
-#include "sim/lane_checker.h"
 #include "sim/lane_queue.h"
 
 namespace kd::sim {
@@ -40,12 +38,14 @@ class Engine {
 
   // Schedules `fn` at absolute virtual time `t` (clamped to now).
   // Accepts any nullary callable; the closure is stored in place in
-  // the event slot (see sim/lane_queue.h). The event inherits the lane
-  // of the scheduling context, so lane membership flows through
-  // closure chains (see sim/lane_checker.h).
+  // the event slot (see sim/lane_queue.h).
   template <class F>
   EventId ScheduleAt(Time t, F&& fn) {
-    return ScheduleImpl(lane_checker_.current_lane(), t, std::forward<F>(fn));
+    const std::uint32_t index = queue_.AcquireSlot();
+    LaneQueue::Slot& slot = queue_.SlotAt(index);
+    LaneQueue::EmplaceClosure(slot, std::forward<F>(fn));
+    queue_.Arm(index, t < now() ? now() : t, next_seq_++);
+    return MakeEventId(index, slot.generation);
   }
 
   // Schedules `fn` after `delay` from now (negative delays clamp to 0).
@@ -54,27 +54,6 @@ class Engine {
     return ScheduleAt(now() + (delay < 0 ? 0 : delay),
                       std::forward<F>(fn));
   }
-
-  // Cross-lane seam schedule: ScheduleAt, except that the event
-  // executes in `target_lane` instead of inheriting the scheduling
-  // context's lane. The trace is the same as ScheduleAt's; only the
-  // lane bookkeeping differs.
-  template <class F>
-  EventId ScheduleSeamAt(LaneId target_lane, Time t, F&& fn) {
-    return ScheduleImpl(target_lane, t, std::forward<F>(fn));
-  }
-
-  template <class F>
-  EventId ScheduleSeamAfter(LaneId target_lane, Duration delay, F&& fn) {
-    return ScheduleSeamAt(target_lane, now() + (delay < 0 ? 0 : delay),
-                          std::forward<F>(fn));
-  }
-
-  // Lane of the context that scheduled the currently-executing event
-  // (kNoLane outside events). A seam target uses this to learn who
-  // called it — e.g. the API server captures the client's lane at
-  // Serve() entry to route the completion back.
-  LaneId seam_origin_lane() const { return origin_; }
 
   // Cancels a pending event. Returns false if it already fired or was
   // already cancelled. Safe to call with kInvalidEventId.
@@ -118,10 +97,6 @@ class Engine {
   using TraceHook = std::function<void(Time, std::uint64_t, EventId)>;
   void set_trace_hook(TraceHook hook) { trace_hook_ = std::move(hook); }
 
-  // Debug-only lane-access checker (disabled by default; enabling it
-  // never changes the event trace). See sim/lane_checker.h.
-  LaneChecker& lane_checker() { return lane_checker_; }
-
  private:
   // EventId layout: slot+1 (above bit 24) | generation (24 bits).
   // slot+1 keeps 0 == kInvalidEventId. The generation compare is
@@ -135,17 +110,6 @@ class Engine {
            (generation & kIdGenMask);
   }
 
-  template <class F>
-  EventId ScheduleImpl(LaneId lane, Time t, F&& fn) {
-    const std::uint32_t index = queue_.AcquireSlot();
-    LaneQueue::Slot& slot = queue_.SlotAt(index);
-    slot.lane = lane;
-    slot.origin = lane_checker_.current_lane();
-    LaneQueue::EmplaceClosure(slot, std::forward<F>(fn));
-    queue_.Arm(index, t < now() ? now() : t, next_seq_++);
-    return MakeEventId(index, slot.generation);
-  }
-
   // Fires one popped event (shared by Step/Run/RunUntil).
   void Fire(const LaneQueue::Fired& fired);
   // Fires due events (time <= t) until the queue has none, Stop() is
@@ -157,10 +121,8 @@ class Engine {
   std::uint64_t event_limit_ = 0;
   bool hit_event_limit_ = false;
   bool stop_flag_ = false;
-  LaneId origin_ = kNoLane;
   LaneQueue queue_;
   TraceHook trace_hook_;
-  LaneChecker lane_checker_;
   Rng rng_;
 };
 

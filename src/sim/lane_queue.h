@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/lane.h"
 #include "common/time.h"
 
 namespace kd::sim {
@@ -49,8 +48,6 @@ class LaneQueue {
     // common case pays no indirect call to drop them.
     void (*destroy)(void*) = nullptr;
     std::uint32_t generation = 1;
-    LaneId lane = kNoLane;    // lane the event executes in
-    LaneId origin = kNoLane;  // lane of the scheduling context
     bool armed = false;  // true while queued and not cancelled
   };
 

@@ -443,9 +443,8 @@ void RunR6(const std::string& path, const Tokens& t,
 //       foreign handle mentioned inside a closure passed to
 //       Schedule*, stores cross-lane reach across events — the escape
 //       that would defeat any future lane barrier.
-// Instance granularity (this kubelet vs. that kubelet) is the runtime
-// lane checker's job (src/sim/lane_checker.h); the static pass proves
-// inter-component isolation.
+// The pass proves inter-component isolation by type; it does not tell
+// two instances of one component (this kubelet vs. that kubelet) apart.
 
 // A token span owned by one lane.
 struct LaneRegion {
