@@ -77,7 +77,7 @@ void ApiServer::Broadcast(WatchEventType type, const model::ApiObject& obj) {
           if (epoch != epoch_) return;
           cb(event);
         });
-    metrics_.Count("watch_events");
+    metrics_.Count(watch_events_);
   }
 }
 
@@ -97,8 +97,8 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
                           });
     return;
   }
-  metrics_.Count(is_write ? "api_writes" : "api_reads");
-  metrics_.Count("api_bytes_in", static_cast<std::int64_t>(request_bytes));
+  metrics_.Count(is_write ? api_writes_ : api_reads_);
+  metrics_.Count(api_bytes_in_, static_cast<std::int64_t>(request_bytes));
   const Time arrival = engine_.now();
 
   // Registered until the response is delivered; Crash() fails every
@@ -109,7 +109,7 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
   const std::uint64_t id = next_request_id_++;
   const std::uint64_t epoch = epoch_;
   pending_.emplace(id, respond_shared);
-  metrics_.RecordMax("api.inflight_max",
+  metrics_.RecordMax(inflight_max_,
                      static_cast<std::int64_t>(pending_.size()));
 
   auto finish = [this, id, epoch, arrival, response_bytes,
@@ -118,8 +118,7 @@ void ApiServer::Serve(const std::string& flow, std::size_t request_bytes,
         static_cast<double>(response_bytes) * cost_.serialize_ns_per_byte);
     const Time respond_at =
         commit_done + response_ser + cost_.api_network_latency;
-    metrics_.Count("api_bytes_out",
-                   static_cast<std::int64_t>(response_bytes));
+    metrics_.Count(api_bytes_out_, static_cast<std::int64_t>(response_bytes));
     engine_.ScheduleAt(respond_at,
                        [this, id, epoch, arrival, respond_shared,
                         result = std::move(result)]() mutable {

@@ -261,6 +261,17 @@ class KD_LANE_OWNED(apiserver) ApiServer {
 
   std::vector<AdmissionHook> admission_hooks_;
   MetricsRecorder metrics_;
+  // The counters every request or watch delivery bumps, resolved once.
+  MetricsRecorder::CounterHandle watch_events_ =
+      metrics_.Counter("watch_events");
+  MetricsRecorder::CounterHandle api_writes_ = metrics_.Counter("api_writes");
+  MetricsRecorder::CounterHandle api_reads_ = metrics_.Counter("api_reads");
+  MetricsRecorder::CounterHandle api_bytes_in_ =
+      metrics_.Counter("api_bytes_in");
+  MetricsRecorder::CounterHandle api_bytes_out_ =
+      metrics_.Counter("api_bytes_out");
+  MetricsRecorder::CounterHandle inflight_max_ =
+      metrics_.Counter("api.inflight_max");
 };
 
 }  // namespace kd::apiserver

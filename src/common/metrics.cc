@@ -60,6 +60,41 @@ std::vector<std::pair<double, double>> Sample::Cdf(int points) const {
   return out;
 }
 
+MetricsRecorder::CounterHandle MetricsRecorder::Counter(
+    const std::string& name) {
+  auto [it, added] = counter_index_.try_emplace(name, counter_slots_.size());
+  if (added) counter_slots_.emplace_back();
+  return CounterHandle(it->second);
+}
+
+std::int64_t MetricsRecorder::GetCount(const std::string& name) const {
+  auto it = counter_index_.find(name);
+  return it == counter_index_.end() ? 0 : counter_slots_[it->second].value;
+}
+
+void MetricsRecorder::ResetCounter(const std::string& name) {
+  auto it = counter_index_.find(name);
+  if (it != counter_index_.end()) ResetSlot(it->second);
+}
+
+void MetricsRecorder::ResetCounterPrefix(const std::string& prefix) {
+  for (auto it = counter_index_.lower_bound(prefix);
+       it != counter_index_.end() &&
+       it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    ResetSlot(it->second);
+  }
+}
+
+std::map<std::string, std::int64_t> MetricsRecorder::counters() const {
+  std::map<std::string, std::int64_t> out;
+  for (const auto& [name, index] : counter_index_) {
+    const CounterSlot& slot = counter_slots_[index];
+    if (slot.live) out.emplace_hint(out.end(), name, slot.value);
+  }
+  return out;
+}
+
 const Sample& MetricsRecorder::GetSample(const std::string& name) const {
   static const Sample kEmpty;
   auto it = samples_.find(name);
@@ -95,7 +130,7 @@ Time MetricsRecorder::GetLastStop(const std::string& name) const {
 }
 
 void MetricsRecorder::Clear() {
-  counters_.clear();
+  std::fill(counter_slots_.begin(), counter_slots_.end(), CounterSlot{});
   samples_.clear();
   busy_.clear();
   spans_.clear();

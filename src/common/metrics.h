@@ -56,34 +56,47 @@ class Sample {
 // the recorder afterwards to print the paper's breakdown rows.
 class MetricsRecorder {
  public:
+  // A counter resolved once by name. Count(handle) is an indexed add,
+  // for components that bump the same counter on every event. A handle
+  // stays valid for the recorder's lifetime, across ResetCounter,
+  // ResetCounterPrefix and Clear.
+  class CounterHandle {
+   public:
+    CounterHandle() = default;
+
+   private:
+    friend class MetricsRecorder;
+    explicit CounterHandle(std::size_t index) : index_(index) {}
+    std::size_t index_ = 0;
+  };
+  CounterHandle Counter(const std::string& name);
+
+  void Count(CounterHandle counter, std::int64_t delta = 1) {
+    CounterSlot& slot = counter_slots_[counter.index_];
+    slot.value += delta;
+    slot.live = true;
+  }
   void Count(const std::string& name, std::int64_t delta = 1) {
-    counters_[name] += delta;
+    Count(Counter(name), delta);
   }
-  std::int64_t GetCount(const std::string& name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
+  std::int64_t GetCount(const std::string& name) const;
   // Monotone high-water gauge, stored alongside counters so it prints
   // with them (e.g. "<loop>.queue_depth_max").
+  void RecordMax(CounterHandle counter, std::int64_t v) {
+    CounterSlot& slot = counter_slots_[counter.index_];
+    if (v > slot.value) slot.value = v;
+    slot.live = true;
+  }
   void RecordMax(const std::string& name, std::int64_t v) {
-    auto& cur = counters_[name];
-    if (v > cur) cur = v;
+    RecordMax(Counter(name), v);
   }
   // Per-incarnation counters: a component that crash-restarts resets
   // the counters scoped to its own process (like a real exporter whose
   // counters zero on restart), so sweep summaries report per-
   // incarnation counts. Lifetime totals (e.g. "apiserver.crashes") are
   // recorded by the harness, not the process, and are never reset.
-  void ResetCounter(const std::string& name) {
-    counters_.erase(name);
-  }
-  void ResetCounterPrefix(const std::string& prefix) {
-    auto it = counters_.lower_bound(prefix);
-    while (it != counters_.end() && it->first.compare(0, prefix.size(),
-                                                      prefix) == 0) {
-      it = counters_.erase(it);
-    }
-  }
+  void ResetCounter(const std::string& name);
+  void ResetCounterPrefix(const std::string& prefix);
 
   void RecordDuration(const std::string& name, Duration d) {
     samples_[name].Add(ToMillis(d));
@@ -116,10 +129,9 @@ class MetricsRecorder {
   Time GetLastStop(const std::string& name) const;
 
   // Bulk read access for the benches' report printers, which read
-  // after the run has completed (no events in flight).
-  const std::map<std::string, std::int64_t>& counters() const {
-    return counters_;
-  }
+  // after the run has completed (no events in flight): every counter
+  // counted since it was last reset, by name.
+  std::map<std::string, std::int64_t> counters() const;
   const std::map<std::string, Sample>& samples() const { return samples_; }
 
   void Clear();
@@ -129,7 +141,16 @@ class MetricsRecorder {
     Time first_start = -1;
     Time last_stop = -1;
   };
-  std::map<std::string, std::int64_t> counters_;
+  // A counter that is reset keeps its slot (handles to it stay valid)
+  // but is not live: it reads 0 and does not print until counted again.
+  struct CounterSlot {
+    std::int64_t value = 0;
+    bool live = false;
+  };
+  void ResetSlot(std::size_t index) { counter_slots_[index] = CounterSlot{}; }
+
+  std::map<std::string, std::size_t> counter_index_;
+  std::vector<CounterSlot> counter_slots_;
   std::map<std::string, Sample> samples_;
   std::map<std::string, Duration> busy_;
   std::map<std::string, Span> spans_;

@@ -29,20 +29,20 @@ Autoscaler::Autoscaler(runtime::Env& env, Mode mode,
   link.peer = Addresses::DeploymentController();
   link.kind_filter = "__none__";
   link.callbacks.on_ready = [this](const kubedirect::ChangeSet&) {
-    last_sent_.clear();
     // A re-handshake opens a fresh steady period: the chain just came
     // back, so demand-driven scale-downs wait out the hold window.
     if (options_.scale_down_hold > 0) steady_since_ = env_.engine.now();
-    for (const auto& [name, replicas] : desired_) harness_.loop().Enqueue(name);
+    for (auto& [name, state] : scale_) {
+      state.last_sent.reset();
+      harness_.loop().Enqueue(name);
+    }
   };
-  link.callbacks.on_down = [this] { last_sent_.clear(); };
+  link.callbacks.on_down = [this] {
+    for (auto& [name, state] : scale_) state.last_sent.reset();
+  };
   harness_.ConnectDownstream(std::move(link));
 
-  harness_.OnCrash([this] {
-    desired_.clear();
-    last_sent_.clear();
-    last_applied_.clear();
-  });
+  harness_.OnCrash([this] { scale_.clear(); });
 }
 
 void Autoscaler::Restart() {
@@ -53,34 +53,31 @@ void Autoscaler::Restart() {
 void Autoscaler::ScaleTo(const std::string& deployment_name,
                          std::int64_t replicas) {
   if (harness_.crashed()) return;
-  desired_[deployment_name] = replicas;
+  scale_[deployment_name].desired = replicas;
   harness_.loop().Enqueue(deployment_name);
 }
 
 std::int64_t Autoscaler::DesiredFor(const std::string& deployment_name) const {
-  auto it = desired_.find(deployment_name);
-  return it == desired_.end() ? -1 : it->second;
+  auto it = scale_.find(deployment_name);
+  return it == scale_.end() ? -1 : it->second.desired;
 }
 
-bool Autoscaler::HoldScaleDown(const std::string& deployment_name,
-                               std::int64_t replicas) const {
+bool Autoscaler::HoldScaleDown(const ScaleState& state) const {
   if (options_.scale_down_hold <= 0) return false;
   if (env_.engine.now() >= steady_since_ + options_.scale_down_hold) {
     return false;
   }
-  auto applied = last_applied_.find(deployment_name);
-  return applied != last_applied_.end() && replicas < applied->second;
+  return state.last_applied.has_value() && state.desired < *state.last_applied;
 }
 
 Duration Autoscaler::Reconcile(const std::string& deployment_name) {
-  auto it = desired_.find(deployment_name);
-  if (it == desired_.end()) return 0;
-  const std::int64_t replicas = it->second;
-  auto sent = last_sent_.find(deployment_name);
-  if (sent != last_sent_.end() && sent->second == replicas) return 0;
-  if (HoldScaleDown(deployment_name, replicas)) {
+  auto it = scale_.find(deployment_name);
+  if (it == scale_.end()) return 0;
+  ScaleState& state = it->second;
+  if (state.last_sent == state.desired) return 0;
+  if (HoldScaleDown(state)) {
     // Upgrade-pause anti-flap: defer the scale-down until the hold
-    // window expires; the deferred reconcile re-reads desired_, so a
+    // window expires; the deferred reconcile re-reads desired, so a
     // demand recovery in the meantime simply wins.
     env_.metrics.Count("autoscaler.scale_down_held");
     harness_.loop().EnqueueAfter(
@@ -88,17 +85,18 @@ Duration Autoscaler::Reconcile(const std::string& deployment_name) {
         steady_since_ + options_.scale_down_hold - env_.engine.now());
     return 0;
   }
-  SendScale(deployment_name, replicas);
+  SendScale(deployment_name, state);
   return 0;
 }
 
 void Autoscaler::SendScale(const std::string& deployment_name,
-                           std::int64_t replicas) {
+                           ScaleState& state) {
+  const std::int64_t replicas = state.desired;
   env_.metrics.MarkStart("autoscaler", env_.engine.now());
   if (mode_ == Mode::kKd) {
     kubedirect::HierarchyClient* downstream = harness_.downstream();
     if (downstream == nullptr || !downstream->ready()) {
-      // Link down: the value stays in desired_; the on_ready callback
+      // Link down: the value stays desired; the on_ready callback
       // re-enqueues (opportunistic forwarding, §4.1).
       return;
     }
@@ -107,8 +105,8 @@ void Autoscaler::SendScale(const std::string& deployment_name,
     msg.attrs.emplace("spec.replicas",
                       kubedirect::KdValue::Literal(replicas));
     downstream->SendUpsert(msg);
-    last_sent_[deployment_name] = replicas;
-    last_applied_[deployment_name] = replicas;
+    state.last_sent = replicas;
+    state.last_applied = replicas;
     env_.metrics.MarkStop("autoscaler", env_.engine.now());
     return;
   }
@@ -121,23 +119,23 @@ void Autoscaler::SendScale(const std::string& deployment_name,
     harness_.loop().EnqueueAfter(deployment_name, Milliseconds(10));
     return;
   }
+  state.last_sent = replicas;
+  state.last_applied = replicas;
   if (model::GetReplicas(*cached) == replicas) {
-    last_sent_[deployment_name] = replicas;
-    last_applied_[deployment_name] = replicas;
     env_.metrics.MarkStop("autoscaler", env_.engine.now());
     return;
   }
   ApiObject updated = *cached;
   model::SetReplicas(updated, replicas);
-  last_sent_[deployment_name] = replicas;
-  last_applied_[deployment_name] = replicas;
   harness_.api().Update(
       updated, [this, deployment_name](StatusOr<ApiObject> result) {
         env_.metrics.MarkStop("autoscaler", env_.engine.now());
         if (!result.ok()) {
           // Conflict or transient failure: forget the send and retry
           // with the refreshed cache (level-triggered).
-          last_sent_.erase(deployment_name);
+          if (auto it = scale_.find(deployment_name); it != scale_.end()) {
+            it->second.last_sent.reset();
+          }
           if (!harness_.crashed()) {
             harness_.loop().EnqueueAfter(deployment_name, Milliseconds(5));
           }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "common/lane.h"
@@ -64,12 +65,28 @@ class KD_LANE_OWNED(autoscaler) Autoscaler {
   bool link_ready() const { return harness_.link_ready(); }
 
  private:
+  // What the autoscaler knows about one Deployment. An entry exists
+  // once the policy has named a desired scale for it.
+  struct ScaleState {
+    // The policy's latest word.
+    std::int64_t desired = 0;
+    // The last value successfully handed downstream. The forward link
+    // to the Deployment controller is level-triggered and carries no
+    // handshake state (Fig. 15's "negligible overhead"): link churn
+    // clears it, and re-forwarding happens in the next scaling call.
+    std::optional<std::int64_t> last_sent;
+    // Highest value ever handed downstream — unlike last_sent it
+    // survives link churn (cleared only by a crash), so the hold window
+    // knows what "down" means right after a re-handshake cleared
+    // last_sent.
+    std::optional<std::int64_t> last_applied;
+  };
+
   Duration Reconcile(const std::string& deployment_name);
-  void SendScale(const std::string& deployment_name, std::int64_t replicas);
-  // True while a scale-down for `deployment_name` must wait out the
+  void SendScale(const std::string& deployment_name, ScaleState& state);
+  // True while a scale-down to `state.desired` must wait out the
   // post-recovery hold window (options_.scale_down_hold).
-  bool HoldScaleDown(const std::string& deployment_name,
-                     std::int64_t replicas) const;
+  bool HoldScaleDown(const ScaleState& state) const;
 
   runtime::Env& env_;
   Mode mode_;
@@ -77,18 +94,8 @@ class KD_LANE_OWNED(autoscaler) Autoscaler {
   runtime::ControllerHarness harness_;
   runtime::ObjectCache cache_;  // Deployments (informer view)
 
-  // Desired per deployment (the policy's latest word) and the last
-  // value successfully handed downstream. The forward link to the
-  // Deployment controller is level-triggered and carries no handshake
-  // state (Fig. 15's "negligible overhead"): re-forwarding happens in
-  // the next scaling call.
-  std::map<std::string, std::int64_t> desired_;
-  std::map<std::string, std::int64_t> last_sent_;
-  // Highest value ever handed downstream per deployment — unlike
-  // last_sent_ it survives link churn (cleared only by a crash), so
-  // the hold window knows what "down" means right after a re-handshake
-  // wiped last_sent_.
-  std::map<std::string, std::int64_t> last_applied_;
+  // By Deployment name; looked up once per reconcile.
+  std::map<std::string, ScaleState> scale_;
   // Start of the current steady period: the later of our last restart
   // and the downstream link's last re-handshake. Scale-downs wait
   // until steady_since_ + scale_down_hold.

@@ -57,15 +57,18 @@ DeploymentController::DeploymentController(runtime::Env& env, Mode mode)
   link.peer = Addresses::ReplicaSetController();
   link.kind_filter = "__none__";
   link.callbacks.on_ready = [this](const kubedirect::ChangeSet&) {
-    last_sent_.clear();
-    for (const auto& [name, replicas] : desired_) harness_.loop().Enqueue(name);
+    for (auto& [name, state] : scale_) {
+      state.last_sent.clear();
+      harness_.loop().Enqueue(name);
+    }
   };
-  link.callbacks.on_down = [this] { last_sent_.clear(); };
+  link.callbacks.on_down = [this] {
+    for (auto& [name, state] : scale_) state.last_sent.clear();
+  };
   harness_.ConnectDownstream(std::move(link));
 
   harness_.OnCrash([this] {
-    desired_.clear();
-    last_sent_.clear();
+    scale_.clear();
     rs_index_.clear();  // the caches clear without change events
   });
 }
@@ -77,7 +80,7 @@ void DeploymentController::OnScaleMessage(const kubedirect::KdMessage& msg) {
   const std::string name = msg.obj_key.substr(slash + 1);
   auto it = msg.attrs.find("spec.replicas");
   if (it == msg.attrs.end() || it->second.is_pointer()) return;
-  desired_[name] = it->second.literal().as_int();
+  scale_[name].desired = it->second.literal().as_int();
   harness_.loop().Enqueue(name);
 }
 
@@ -95,10 +98,12 @@ Duration DeploymentController::Reconcile(const std::string& deployment_name) {
   if (deployment == nullptr) return 0;
 
   std::int64_t desired;
+  ScaleState* state = nullptr;
   if (mode_ == Mode::kKd) {
-    auto it = desired_.find(deployment_name);
-    if (it == desired_.end()) return 0;  // no scale decision yet
-    desired = it->second;
+    auto it = scale_.find(deployment_name);
+    if (it == scale_.end()) return 0;  // no scale decision yet
+    state = &it->second;
+    desired = state->desired;
   } else {
     desired = model::GetReplicas(*deployment);
   }
@@ -114,8 +119,8 @@ Duration DeploymentController::Reconcile(const std::string& deployment_name) {
   env_.metrics.MarkStart("deployment", env_.engine.now());
   if (mode_ == Mode::kKd) {
     const std::string rs_key = rs->Key();
-    auto sent = last_sent_.find(rs_key);
-    if (sent != last_sent_.end() && sent->second == desired) return 0;
+    auto sent = state->last_sent.find(rs_key);
+    if (sent != state->last_sent.end() && sent->second == desired) return 0;
     kubedirect::HierarchyClient* downstream = harness_.downstream();
     if (downstream == nullptr || !downstream->ready()) {
       return 0;  // re-sent on_ready
@@ -124,7 +129,7 @@ Duration DeploymentController::Reconcile(const std::string& deployment_name) {
     msg.obj_key = rs_key;
     msg.attrs.emplace("spec.replicas", kubedirect::KdValue::Literal(desired));
     downstream->SendUpsert(msg);
-    last_sent_[rs_key] = desired;
+    state->last_sent[rs_key] = desired;
     env_.metrics.MarkStop("deployment", env_.engine.now());
     return 0;
   }

@@ -17,6 +17,7 @@
 #include <string>
 #include <utility>
 
+#include "common/flat_map.h"
 #include "common/lane.h"
 #include "controllers/types.h"
 #include "runtime/harness.h"
@@ -48,10 +49,16 @@ class KD_LANE_OWNED(deployment) DeploymentController {
   runtime::ControllerHarness harness_;
   runtime::ObjectCache cache_;  // Deployments + ReplicaSets (informer)
 
-  // Kd mode: the authoritative desired replicas per Deployment (fed by
-  // direct messages; the API-server copy is guarded and stale).
-  std::map<std::string, std::int64_t> desired_;
-  std::map<std::string, std::int64_t> last_sent_;  // per ReplicaSet key
+  // Kd mode, per Deployment: the authoritative desired replicas (fed
+  // by direct messages; the API-server copy is guarded and stale), and
+  // the last value sent to each of its ReplicaSets, by ReplicaSet key.
+  // An entry exists once a scale message named the Deployment; it is
+  // looked up once per reconcile.
+  struct ScaleState {
+    std::int64_t desired = 0;
+    FlatMap<std::string, std::int64_t> last_sent;
+  };
+  std::map<std::string, ScaleState> scale_;
   // (owner Deployment, revision) -> keys of the visible ReplicaSets
   // carrying them, in key order; kept by the cache change handler.
   std::map<std::pair<std::string, std::int64_t>, std::set<std::string>>

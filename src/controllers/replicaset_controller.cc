@@ -42,8 +42,11 @@ ReplicaSetController::ReplicaSetController(runtime::Env& env, Mode mode)
     // == List visibility. live = visible && !Terminating &&
     // !tombstoned; the tombstone predicate transitions are accounted
     // at their own call sites (DeletePods / GcTombstone).
+    const std::string owner = model::GetOwnerName(*obj);
+    const std::string rs_key = ApiObject::MakeKey(kKindReplicaSet, owner);
     if (before != nullptr) {
-      const std::string prev = model::GetOwnerName(*before);
+      const std::string prev =
+          before == obj ? owner : model::GetOwnerName(*before);
       if (!prev.empty()) {
         auto it = owned_pods_.find(prev);
         if (it != owned_pods_.end()) {
@@ -51,19 +54,19 @@ ReplicaSetController::ReplicaSetController(runtime::Env& env, Mode mode)
           if (it->second.empty()) owned_pods_.erase(it);
         }
         if (!model::IsTerminating(*before) && !harness_.tombstones().Has(key)) {
-          --live_owned_[prev];
+          --rs_state_[prev == owner ? rs_key
+                                    : ApiObject::MakeKey(kKindReplicaSet, prev)]
+                .live_owned;
         }
       }
     }
-    const std::string owner = model::GetOwnerName(*obj);
     if (owner.empty()) return;
     if (after != nullptr) {
       owned_pods_[owner].insert(key);
       if (!model::IsTerminating(*after) && !harness_.tombstones().Has(key)) {
-        ++live_owned_[owner];
+        ++rs_state_[rs_key].live_owned;
       }
     }
-    const std::string rs_key = ApiObject::MakeKey(kKindReplicaSet, owner);
     if (mode_ == Mode::kK8s) {
       // Expectations: an observed add/delete settles one in-flight op.
       if (before == nullptr && after != nullptr) {
@@ -109,19 +112,19 @@ ReplicaSetController::ReplicaSetController(runtime::Env& env, Mode mode)
 
   harness_.OnStart([this] { pod_counter_ = 0; });
   harness_.OnCrash([this] {
-    desired_.clear();
     pending_creates_.clear();
     pending_deletes_.clear();
-    // Cache Clear() fires no handlers: reset the indexes too.
+    // Cache Clear() fires no handlers: reset the indexes (and the live
+    // counts) too.
+    rs_state_.clear();
     owned_pods_.clear();
-    live_owned_.clear();
   });
 }
 
 void ReplicaSetController::OnScaleMessage(const kubedirect::KdMessage& msg) {
   auto it = msg.attrs.find("spec.replicas");
   if (it == msg.attrs.end() || it->second.is_pointer()) return;
-  desired_[msg.obj_key] = it->second.literal().as_int();
+  rs_state_[msg.obj_key].desired = it->second.literal().as_int();
   harness_.loop().Enqueue(msg.obj_key);
 }
 
@@ -157,7 +160,9 @@ void ReplicaSetController::GcTombstone(const std::string& pod_key) {
   const ApiObject* pod = pod_cache_.Get(pod_key);
   if (pod != nullptr && !model::IsTerminating(*pod)) {
     const std::string owner = model::GetOwnerName(*pod);
-    if (!owner.empty()) ++live_owned_[owner];
+    if (!owner.empty()) {
+      ++rs_state_[ApiObject::MakeKey(kKindReplicaSet, owner)].live_owned;
+    }
   }
 }
 
@@ -194,11 +199,11 @@ Duration ReplicaSetController::Reconcile(const std::string& rs_key) {
   const ApiObject* rs = rs_cache_.Get(rs_key);
   if (rs == nullptr) return 0;
 
+  auto state = rs_state_.find(rs_key);
   std::int64_t desired;
   if (mode_ == Mode::kKd) {
-    auto it = desired_.find(rs_key);
-    if (it == desired_.end()) return 0;
-    desired = it->second;
+    if (state == rs_state_.end() || !state->second.desired) return 0;
+    desired = *state->second.desired;
   } else {
     desired = model::GetReplicas(*rs);
   }
@@ -208,10 +213,8 @@ Duration ReplicaSetController::Reconcile(const std::string& rs_key) {
   // nor get replaced, §4.3's anti-thrashing rule). The count is
   // maintained incrementally, so the common reconcile is O(1); only an
   // actual downscale walks the owned set to pick victims.
-  std::int64_t effective = 0;
-  if (auto it = live_owned_.find(rs->name); it != live_owned_.end()) {
-    effective = it->second;
-  }
+  std::int64_t effective =
+      state == rs_state_.end() ? 0 : state->second.live_owned;
   if (mode_ == Mode::kK8s) {
     effective += pending_creates_[rs_key];
     effective -= pending_deletes_[rs_key];
@@ -302,7 +305,7 @@ void ReplicaSetController::DeletePods(
       // protects against double-tombstoning).
       if (!harness_.tombstones().Has(pod_key)) {
         harness_.tombstones().Add(pod_key, env_.engine.now());
-        --live_owned_[rs.name];
+        --rs_state_[rs_key].live_owned;
       }
       if (harness_.link_ready()) {
         harness_.downstream()->SendTombstone(pod_key);

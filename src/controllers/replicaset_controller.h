@@ -22,6 +22,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -69,8 +70,20 @@ class KD_LANE_OWNED(replicaset) ReplicaSetController {
   runtime::ObjectCache rs_cache_;   // ReplicaSets (informer)
   runtime::ObjectCache pod_cache_;  // K8s: pod informer; Kd: ephemeral
 
-  // Kd: desired replicas per RS key, fed by the Deployment controller.
-  std::map<std::string, std::int64_t> desired_;
+  // Per RS key, looked up once per reconcile:
+  //  - desired: Kd mode's desired replicas, fed by the Deployment
+  //    controller;
+  //  - live_owned: the count of live owned pods — visible, not
+  //    Terminating, not tombstoned. It is maintained at the three
+  //    predicate transition points (cache change handler, tombstone
+  //    add, tombstone gc) so the common reconcile reads a counter
+  //    instead of re-filtering the owned set — scaling one RS to N pods
+  //    is then O(N) reconciles, not O(N^2) scans.
+  struct RsState {
+    std::optional<std::int64_t> desired;
+    std::int64_t live_owned = 0;
+  };
+  std::map<std::string, RsState> rs_state_;
 
   // Owner index: RS name -> keys of visible owned pods, maintained in
   // lockstep with pod_cache_ by its change handler. Reconcile reads
@@ -80,12 +93,6 @@ class KD_LANE_OWNED(replicaset) ReplicaSetController {
   // filter produced. A stale key whose pod has since vanished without
   // a handler firing (cache Clear) is skipped via Get() == nullptr.
   std::map<std::string, std::set<std::string>> owned_pods_;
-  // RS name -> count of live owned pods: visible, not Terminating, not
-  // tombstoned. Maintained at the three predicate transition points
-  // (cache change handler, tombstone add, tombstone gc) so the common
-  // reconcile reads a counter instead of re-filtering the owned set —
-  // scaling one RS to N pods is then O(N) reconciles, not O(N^2) scans.
-  std::map<std::string, std::int64_t> live_owned_;
 
   // K8s: in-flight creates/deletes per RS key (client-go expectations).
   std::map<std::string, std::int64_t> pending_creates_;

@@ -38,17 +38,19 @@ void Gateway::UpdateEndpoints(const std::string& function,
   Dispatch(state);
 }
 
-std::string Gateway::FindFreeInstance(const FunctionState& state) const {
-  const std::string* best = nullptr;
+Gateway::Instances::iterator Gateway::FindFreeInstance(
+    FunctionState& state) const {
+  auto best = state.instances.end();
   int best_busy = state.spec.concurrency;
-  for (const auto& [address, instance] : state.instances) {
+  for (auto it = state.instances.begin(); it != state.instances.end(); ++it) {
+    const Instance& instance = it->second;
     if (instance.retired) continue;
     if (instance.busy < best_busy) {
-      best = &address;
+      best = it;
       best_busy = instance.busy;
     }
   }
-  return best == nullptr ? "" : *best;
+  return best;
 }
 
 void Gateway::Invoke(Invocation inv) {
@@ -56,19 +58,20 @@ void Gateway::Invoke(Invocation inv) {
   KD_CHECK(it != functions_.end(), "Invoke of unregistered function");
   ++total_invocations_;
   FunctionState& state = it->second;
-  const std::string address = FindFreeInstance(state);
-  if (!address.empty() && state.queue.empty()) {
-    StartOn(state, address, std::move(inv), /*was_queued=*/false);
-    return;
+  if (state.queue.empty()) {
+    auto instance = FindFreeInstance(state);
+    if (instance != state.instances.end()) {
+      StartOn(state, instance, std::move(inv), /*was_queued=*/false);
+      return;
+    }
   }
-  const std::string function = inv.function;
   state.queue.push_back({std::move(inv)});
-  if (on_queued_) on_queued_(function);
+  if (on_queued_) on_queued_(it->first);
 }
 
-void Gateway::StartOn(FunctionState& state, const std::string& address,
+void Gateway::StartOn(FunctionState& state, Instances::iterator instance_it,
                       Invocation inv, bool was_queued) {
-  Instance& instance = state.instances[address];
+  Instance& instance = instance_it->second;
   ++instance.busy;
   ++state.executing;
   if (was_queued) ++queued_starts_;
@@ -80,13 +83,15 @@ void Gateway::StartOn(FunctionState& state, const std::string& address,
   record.completed = record.started + inv.duration;
   record.cold_start = was_queued;
 
-  const std::string function = inv.function;
   const std::uint64_t id = next_request_id_++;
   instance.inflight.emplace(id, std::move(inv));
-  engine_.ScheduleAt(record.completed, [this, function, address, id, record] {
-    auto it = functions_.find(function);
-    if (it == functions_.end()) return;
-    FunctionState& state2 = it->second;
+  // FunctionStates are never erased, so the timer holds on to its
+  // state; the instance may die first and is found again by address.
+  FunctionState* state_ptr = &state;
+  engine_.ScheduleAt(record.completed, [this, state_ptr,
+                                        address = instance_it->first, id,
+                                        record] {
+    FunctionState& state2 = *state_ptr;
     auto inst_it = state2.instances.find(address);
     if (inst_it == state2.instances.end() ||
         inst_it->second.inflight.erase(id) == 0) {
@@ -133,19 +138,23 @@ std::size_t Gateway::FailInstances(const std::vector<std::string>& addresses) {
 
 void Gateway::Dispatch(FunctionState& state) {
   while (!state.queue.empty()) {
-    const std::string address = FindFreeInstance(state);
-    if (address.empty()) return;
+    auto instance = FindFreeInstance(state);
+    if (instance == state.instances.end()) return;
     PendingRequest pending = std::move(state.queue.front());
     state.queue.pop_front();
-    StartOn(state, address, std::move(pending.inv), /*was_queued=*/true);
+    StartOn(state, instance, std::move(pending.inv), /*was_queued=*/true);
   }
 }
 
-Gateway::Load Gateway::LoadOf(const std::string& function) const {
+Gateway::FunctionHandle Gateway::Find(const std::string& function) const {
   auto it = functions_.find(function);
-  if (it == functions_.end()) return {};
-  return {static_cast<std::int64_t>(it->second.queue.size()),
-          it->second.executing};
+  return it == functions_.end() ? nullptr : &it->second;
+}
+
+Gateway::Load Gateway::LoadOf(FunctionHandle function) const {
+  if (function == nullptr) return {};
+  return {static_cast<std::int64_t>(function->queue.size()),
+          function->executing};
 }
 
 std::vector<std::string> Gateway::Endpoints(const std::string& function) const {

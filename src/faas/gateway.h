@@ -24,6 +24,8 @@
 namespace kd::faas {
 
 class KD_LANE_OWNED(faas) Gateway {
+  struct FunctionState;
+
  public:
   Gateway(sim::Engine& engine, Duration route_latency = MicrosecondsF(200));
 
@@ -47,13 +49,22 @@ class KD_LANE_OWNED(faas) Gateway {
   // instance).
   void Invoke(Invocation inv);
 
+  // A registered function's state, resolved once by name. States are
+  // never erased, so a handle stays valid as long as the gateway;
+  // nullptr stands for an unregistered function.
+  using FunctionHandle = const FunctionState*;
+  FunctionHandle Find(const std::string& function) const;
+
   // A function's open requests: queued for capacity and executing.
-  // The autoscaler reads both with one lookup per tick.
+  // The autoscaler reads both through its handle on every evaluation.
   struct Load {
     std::int64_t queued = 0;
     std::int64_t executing = 0;
   };
-  Load LoadOf(const std::string& function) const;
+  Load LoadOf(FunctionHandle function) const;
+  Load LoadOf(const std::string& function) const {
+    return LoadOf(Find(function));
+  }
   // Demand signal: executing + queued requests.
   std::int64_t Demand(const std::string& function) const {
     const Load load = LoadOf(function);
@@ -97,18 +108,20 @@ class KD_LANE_OWNED(faas) Gateway {
   struct PendingRequest {
     Invocation inv;
   };
+  using Instances = std::map<std::string, Instance>;
   struct FunctionState {
     FunctionSpec spec;
-    std::map<std::string, Instance> instances;
+    Instances instances;
     std::deque<PendingRequest> queue;
     std::int64_t executing = 0;
   };
 
   void Dispatch(FunctionState& state);
-  // Starts `inv` on `address` now.
-  void StartOn(FunctionState& state, const std::string& address,
+  // Starts `inv` on `instance` now.
+  void StartOn(FunctionState& state, Instances::iterator instance,
                Invocation inv, bool was_queued);
-  std::string FindFreeInstance(const FunctionState& state) const;
+  // The least busy live instance with a free slot, or end().
+  Instances::iterator FindFreeInstance(FunctionState& state) const;
 
   sim::Engine& engine_;
   Duration route_latency_;

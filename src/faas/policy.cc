@@ -43,16 +43,26 @@ void AutoscalePolicy::Tick() {
 void AutoscalePolicy::Evaluate(const std::string& function,
                                FunctionState& state) {
   const Time now = engine_.now();
-  const Gateway::Load load = gateway_.LoadOf(function);
+  if (state.gateway_fn == nullptr) state.gateway_fn = gateway_.Find(function);
+  const Gateway::Load load = gateway_.LoadOf(state.gateway_fn);
   const std::int64_t demand = load.queued + load.executing;
+  // Monotonic window: a sample no larger than a later one can never be
+  // the peak again, because every window that holds it holds the later
+  // one too.
+  while (!state.demand_window.empty() &&
+         state.demand_window.back().second <= demand) {
+    state.demand_window.pop_back();
+  }
   state.demand_window.emplace_back(now, demand);
   const Time horizon = now - params_.scale_down_window;
   while (!state.demand_window.empty() &&
          state.demand_window.front().first < horizon) {
     state.demand_window.pop_front();
   }
-  std::int64_t peak = 0;
-  for (const auto& [t, d] : state.demand_window) peak = std::max(peak, d);
+  const std::int64_t peak =
+      state.demand_window.empty()
+          ? 0
+          : std::max<std::int64_t>(0, state.demand_window.front().second);
 
   std::int64_t desired =
       (peak + state.concurrency - 1) / state.concurrency;

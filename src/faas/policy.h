@@ -68,6 +68,12 @@ class AutoscalePolicy {
  private:
   struct FunctionState {
     int concurrency = 1;
+    // Resolved on first evaluation (null until the gateway knows the
+    // function).
+    Gateway::FunctionHandle gateway_fn = nullptr;
+    // The demand samples of the scale-down window that can still be
+    // its peak: times ascending, demands strictly descending, so the
+    // front is the peak of the window.
     std::deque<std::pair<Time, std::int64_t>> demand_window;
     std::int64_t last_desired = 0;
     Time last_burst_react = -1;

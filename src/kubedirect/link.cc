@@ -7,7 +7,12 @@ namespace kd::kubedirect {
 KdLink::KdLink(sim::Engine& engine, const CostModel& cost,
                net::ConnHandlePtr conn, MetricsRecorder* metrics)
     : engine_(engine), cost_(cost), conn_(std::move(conn)),
-      metrics_(metrics) {}
+      metrics_(metrics) {
+  if (metrics_ != nullptr) {
+    messages_counter_ = metrics_->Counter("kd_messages_sent");
+    bytes_counter_ = metrics_->Counter("kd_bytes_sent");
+  }
+}
 
 void KdLink::Bind(std::function<void(WireMessage)> on_message,
                   std::function<void()> on_disconnect) {
@@ -66,9 +71,9 @@ void KdLink::Flush() {
   messages_sent_ += pending_.size();
   bytes_sent_ += bytes;
   if (metrics_) {
-    metrics_->Count("kd_messages_sent",
+    metrics_->Count(messages_counter_,
                     static_cast<std::int64_t>(pending_.size()));
-    metrics_->Count("kd_bytes_sent", static_cast<std::int64_t>(bytes));
+    metrics_->Count(bytes_counter_, static_cast<std::int64_t>(bytes));
   }
   net::Frame frame(std::move(pending_), bytes);
   pending_.clear();

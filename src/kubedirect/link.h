@@ -64,6 +64,10 @@ class KD_LANE_SEAM KdLink : public std::enable_shared_from_this<KdLink> {
   const CostModel& cost_;
   net::ConnHandlePtr conn_;
   MetricsRecorder* metrics_;
+  // "kd_messages_sent" / "kd_bytes_sent", resolved once (when metrics_
+  // is set).
+  MetricsRecorder::CounterHandle messages_counter_;
+  MetricsRecorder::CounterHandle bytes_counter_;
 
   std::function<void(WireMessage)> on_message_;
   std::function<void()> on_disconnect_;

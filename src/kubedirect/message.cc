@@ -412,6 +412,7 @@ KdMessage PodCreateMessage(const model::ApiObject& pod,
                            const std::string& replicaset_key) {
   KdMessage msg;
   msg.obj_key = pod.Key();
+  msg.attrs.reserve(3);
   // The static bulk — the container spec — travels as a pointer into
   // the ReplicaSet the receiver already caches (§3.2's example).
   msg.attrs.emplace("spec",
@@ -445,6 +446,7 @@ KdMessage DiffMessage(const model::ApiObject& before,
 KdMessage FullObjectMessage(const model::ApiObject& obj) {
   KdMessage msg;
   msg.obj_key = obj.Key();
+  msg.attrs.reserve(3);
   msg.attrs.emplace("metadata", KdValue::Literal(obj.metadata));
   msg.attrs.emplace("spec", KdValue::Literal(obj.spec));
   msg.attrs.emplace("status", KdValue::Literal(obj.status));

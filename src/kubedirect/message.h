@@ -20,6 +20,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/status.h"
 #include "model/objects.h"
 
@@ -55,9 +56,10 @@ struct KdValue {
 // The per-object state update of Fig. 5.
 struct KdMessage {
   std::string obj_key;  // "Pod/fn-v1-3"
-  // attr path -> value; path "" (empty) replaces the whole spec is not
-  // allowed — top-level sections are "metadata", "spec", "status".
-  std::map<std::string, KdValue> attrs;
+  // attr path -> value, sorted by path; path "" (empty) replaces the
+  // whole spec is not allowed — top-level sections are "metadata",
+  // "spec", "status".
+  FlatMap<std::string, KdValue> attrs;
 
   bool operator==(const KdMessage& other) const {
     return obj_key == other.obj_key && attrs == other.attrs;

@@ -23,6 +23,7 @@ StatusOr<PodPhase> ParsePodPhase(const std::string& name) {
 
 std::string ApiObject::Serialize() const {
   Value root = Value::MakeObject();
+  root.object().reserve(6);
   root["kind"] = kind;
   root["name"] = name;
   root["resourceVersion"] = static_cast<std::int64_t>(resource_version);
@@ -70,6 +71,7 @@ StatusOr<ApiObject> ApiObject::Parse(const std::string& text) {
 
 std::uint64_t ApiObject::ContentHash() const {
   Value root = Value::MakeObject();
+  root.object().reserve(5);
   root["kind"] = kind;
   root["name"] = name;
   root["metadata"] = metadata;
@@ -145,9 +147,11 @@ void SetNodeName(ApiObject& pod, const std::string& node) {
 }
 
 PodPhase GetPodPhase(const ApiObject& pod) {
+  // An absent or unknown phase reads as Pending.
   const std::string& phase = pod.status["phase"].as_string();
-  auto parsed = ParsePodPhase(phase.empty() ? "Pending" : phase);
-  return parsed.ok() ? *parsed : PodPhase::kPending;
+  if (phase == "Running") return PodPhase::kRunning;
+  if (phase == "Terminating") return PodPhase::kTerminating;
+  return PodPhase::kPending;
 }
 
 void SetPodPhase(ApiObject& pod, PodPhase phase) {

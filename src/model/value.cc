@@ -72,21 +72,21 @@ const Value::Array& Value::array() const {
 
 Value::Array& Value::array() { return MutableDataAs(Type::kArray).array; }
 
-const Value& Value::operator[](const std::string& key) const {
+const Value& Value::operator[](std::string_view key) const {
   if (!is_object()) return kNullValue;
   auto it = data_->object.find(key);
   return it == data_->object.end() ? kNullValue : it->second;
 }
 
-Value& Value::operator[](const std::string& key) {
+Value& Value::operator[](std::string_view key) {
   return MutableDataAs(Type::kObject).object[key];
 }
 
-bool Value::contains(const std::string& key) const {
-  return is_object() && data_->object.count(key) > 0;
+bool Value::contains(std::string_view key) const {
+  return is_object() && data_->object.contains(key);
 }
 
-void Value::erase(const std::string& key) {
+void Value::erase(std::string_view key) {
   if (!is_object()) return;
   MutableData().object.erase(key);
 }
@@ -97,32 +97,32 @@ const Value::Object& Value::object() const {
 
 Value::Object& Value::object() { return MutableDataAs(Type::kObject).object; }
 
-const Value* Value::FindPath(const std::string& path) const {
+const Value* Value::FindPath(std::string_view path) const {
   const Value* cur = this;
   std::size_t start = 0;
   while (start <= path.size()) {
     const std::size_t dot = path.find('.', start);
-    const std::string part =
-        path.substr(start, dot == std::string::npos ? dot : dot - start);
+    const std::string_view part =
+        path.substr(start, dot == std::string_view::npos ? dot : dot - start);
     if (!cur->is_object()) return nullptr;
     auto it = cur->data_->object.find(part);
     if (it == cur->data_->object.end()) return nullptr;
     cur = &it->second;
-    if (dot == std::string::npos) return cur;
+    if (dot == std::string_view::npos) return cur;
     start = dot + 1;
   }
   return nullptr;
 }
 
-void Value::SetPath(const std::string& path, Value v) {
+void Value::SetPath(std::string_view path, Value v) {
   Value* cur = this;
   std::size_t start = 0;
   for (;;) {
     const std::size_t dot = path.find('.', start);
-    const std::string part =
-        path.substr(start, dot == std::string::npos ? dot : dot - start);
+    const std::string_view part =
+        path.substr(start, dot == std::string_view::npos ? dot : dot - start);
     Data& data = cur->MutableDataAs(Type::kObject);
-    if (dot == std::string::npos) {
+    if (dot == std::string_view::npos) {
       data.object[part] = std::move(v);
       return;
     }
@@ -131,11 +131,11 @@ void Value::SetPath(const std::string& path, Value v) {
   }
 }
 
-bool Value::ErasePath(const std::string& path) {
+bool Value::ErasePath(std::string_view path) {
   // Const pre-check so a miss neither detaches nor dirties any caches.
   if (FindPath(path) == nullptr) return false;
   const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos) {
+  if (dot == std::string_view::npos) {
     MutableData().object.erase(path);
     return true;
   }
@@ -143,13 +143,13 @@ bool Value::ErasePath(const std::string& path) {
   // invalidation along the way), then erase the leaf.
   Value* cur = this;
   std::size_t start = 0;
-  const std::string parent_path = path.substr(0, dot);
+  const std::string_view parent_path = path.substr(0, dot);
   for (;;) {
     const std::size_t d = parent_path.find('.', start);
-    const std::string part =
-        parent_path.substr(start, d == std::string::npos ? d : d - start);
+    const std::string_view part =
+        parent_path.substr(start, d == std::string_view::npos ? d : d - start);
     cur = &cur->MutableData().object[part];
-    if (d == std::string::npos) break;
+    if (d == std::string_view::npos) break;
     start = d + 1;
   }
   cur->MutableData().object.erase(path.substr(dot + 1));
@@ -580,7 +580,7 @@ void Value::DiffInto(const std::string& prefix, const Value& before,
     if (!before.contains(k)) {
       out.emplace_back(path, v);
     } else {
-      DiffInto(path, before.data_->object.at(k), v, out);
+      DiffInto(path, before[k], v, out);
     }
   }
 }

@@ -26,17 +26,25 @@
 // child is traversed through the mutable accessors (`v["a"]["b"] = x`),
 // so do not hold a `Value&` into a tree across an ancestor's
 // SerializedSize() call and then write through it — re-index instead.
-// The codebase mutates exclusively via full-expression chains, which
-// are always safe.
+//
+// An object's members live in one sorted vector (kd::FlatMap), so a
+// reference to a member also dies when a sibling is inserted or erased:
+// `Value& a = v["a"]; v["b"] = 1; a = 2;` writes through a dangling
+// reference once "b" is new. The same holds for `v["x"] = v["y"]` on a
+// non-const `v`, because the right side is evaluated first. Take a copy
+// (`Value y = v["y"]; v["x"] = y;`) or re-index. The codebase mutates
+// exclusively via full-expression chains that touch one member per
+// object, which are always safe.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/status.h"
 
 namespace kd::model {
@@ -54,8 +62,9 @@ class Value {
   };
 
   using Array = std::vector<Value>;
-  // std::map keeps serialization deterministic (sorted keys).
-  using Object = std::map<std::string, Value>;
+  // Sorted keys keep serialization deterministic; see the header
+  // comment for what a sibling insert does to held references.
+  using Object = FlatMap<std::string, Value>;
 
   Value() : type_(Type::kNull), int_(0) {}
   Value(std::nullptr_t) : Value() {}
@@ -141,11 +150,11 @@ class Value {
 
   // --- object access ---------------------------------------------------
   // Field lookup; returns null Value reference for missing keys.
-  const Value& operator[](const std::string& key) const;
+  const Value& operator[](std::string_view key) const;
   // Inserting lookup; converts a null value into an object first.
-  Value& operator[](const std::string& key);
-  bool contains(const std::string& key) const;
-  void erase(const std::string& key);
+  Value& operator[](std::string_view key);
+  bool contains(std::string_view key) const;
+  void erase(std::string_view key);
   const Object& object() const;
   // Mutable view: detaches (same caveat as array()).
   Object& object();
@@ -154,11 +163,11 @@ class Value {
   // Path syntax: "spec.template.spec.nodeName". Array elements are not
   // addressable by path (Kubernetes strategic-merge semantics treat the
   // containers list as a unit, which is all the narrow waist needs).
-  const Value* FindPath(const std::string& path) const;
+  const Value* FindPath(std::string_view path) const;
   // Creates intermediate objects as needed.
-  void SetPath(const std::string& path, Value v);
+  void SetPath(std::string_view path, Value v);
   // Removes the leaf if present; returns true if removed.
-  bool ErasePath(const std::string& path);
+  bool ErasePath(std::string_view path);
 
   // --- serialization -----------------------------------------------------
   // Compact JSON. Keys are emitted sorted, so equal values serialize
@@ -203,13 +212,20 @@ class Value {
     explicit Data(std::string s) : string(std::move(s)) {}
     explicit Data(Array a) : array(std::move(a)) {}
     explicit Data(Object o) : object(std::move(o)) {}
-    // A detached clone: same content and caches, one owner.
+    // A detached clone: same content and caches, one owner. A clone is
+    // made to be written, and writing a field an object lacks (a pod's
+    // spec.nodeName, status.podIP) is the common case, so an object
+    // clone leaves room for one insert instead of regrowing on it.
     Data(const Data& other)
         : string(other.string),
           array(other.array),
-          object(other.object),
           cached_size(other.cached_size),
-          cached_escapes(other.cached_escapes) {}
+          cached_escapes(other.cached_escapes) {
+      if (!other.object.empty()) {
+        object.reserve(other.object.size() + 1);
+        object = other.object;
+      }
+    }
 
     std::string string;
     Array array;

@@ -53,7 +53,7 @@ void ObjectCache::Upsert(model::ApiObject obj) {
     return;
   }
   const bool was_visible = !it->second.invalid;
-  model::ApiObject before = it->second.object;
+  model::ApiObject before = std::move(it->second.object);
   it->second.object = std::move(obj);
   it->second.invalid = false;
   FireChange(key, was_visible ? &before : nullptr, &it->second.object);

@@ -7,10 +7,13 @@ ControlLoop::ControlLoop(sim::Engine& engine, const CostModel& cost,
     : engine_(engine),
       cost_(cost),
       name_(std::move(name)),
-      reconcile_metric_(name_ + ".reconcile"),
-      depth_max_metric_(name_ + ".queue_depth_max"),
       metrics_(metrics),
-      tracker_(metrics, name_ + ".active") {}
+      reconcile_metric_(name_ + ".reconcile"),
+      tracker_(metrics, name_ + ".active") {
+  if (metrics_ != nullptr) {
+    depth_max_counter_ = metrics_->Counter(name_ + ".queue_depth_max");
+  }
+}
 
 void ControlLoop::Enqueue(const std::string& key) {
   if (queued_keys_.count(key)) return;
@@ -20,7 +23,7 @@ void ControlLoop::Enqueue(const std::string& key) {
   if (queue_.size() > depth_max_) {
     depth_max_ = queue_.size();
     if (metrics_) {
-      metrics_->RecordMax(depth_max_metric_,
+      metrics_->RecordMax(depth_max_counter_,
                           static_cast<std::int64_t>(depth_max_));
     }
   }

@@ -65,10 +65,11 @@ class KD_LANE_SEAM ControlLoop {
   sim::Engine& engine_;
   const CostModel& cost_;
   std::string name_;
-  // "<name>.reconcile" / "<name>.queue_depth_max", built once.
-  std::string reconcile_metric_;
-  std::string depth_max_metric_;
   MetricsRecorder* metrics_;
+  // "<name>.reconcile", built once, and the "<name>.queue_depth_max"
+  // gauge, resolved once (when metrics_ is set).
+  std::string reconcile_metric_;
+  MetricsRecorder::CounterHandle depth_max_counter_;
   Reconciler reconcile_;
   std::deque<std::string> queue_;
   // Membership-only dedup set; never iterated, so hashing order is

@@ -1,8 +1,12 @@
 // Unit tests for src/common: status, rng, metrics, strings, time.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <string_view>
 
+#include "common/flat_map.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -194,6 +198,120 @@ TEST(MetricsRecorderTest, Counters) {
   m.Count("pods", 4);
   EXPECT_EQ(m.GetCount("pods"), 5);
   EXPECT_EQ(m.GetCount("missing"), 0);
+}
+
+// A handle resolved before a reset keeps counting into the same
+// counter afterwards, and counters() prints what a plain name -> value
+// map (the recorder's former representation) would hold after the same
+// operations: reset counters vanish until counted again.
+TEST(MetricsRecorderTest, CounterHandlesSurviveResets) {
+  MetricsRecorder m;
+  std::map<std::string, std::int64_t> want;
+  const MetricsRecorder::CounterHandle sent = m.Counter("kd.sent");
+  const MetricsRecorder::CounterHandle bytes = m.Counter("kd.bytes");
+  const MetricsRecorder::CounterHandle depth = m.Counter("loop.depth_max");
+  EXPECT_TRUE(m.counters().empty());  // resolving does not count
+
+  m.Count(sent);
+  m.Count(sent, 2);
+  m.Count("kd.bytes", 100);
+  m.RecordMax(depth, 7);
+  m.RecordMax("loop.depth_max", 3);
+  m.Count("other", 0);
+  want = {{"kd.bytes", 100}, {"kd.sent", 3}, {"loop.depth_max", 7},
+          {"other", 0}};
+  EXPECT_EQ(m.counters(), want);
+  EXPECT_EQ(m.GetCount("kd.sent"), 3);
+
+  m.ResetCounter("kd.sent");
+  want.erase("kd.sent");
+  EXPECT_EQ(m.counters(), want);
+  EXPECT_EQ(m.GetCount("kd.sent"), 0);
+  m.Count(sent, 5);
+  want["kd.sent"] = 5;
+  EXPECT_EQ(m.counters(), want);
+
+  m.ResetCounterPrefix("kd.");
+  want.erase("kd.sent");
+  want.erase("kd.bytes");
+  EXPECT_EQ(m.counters(), want);
+  m.Count(bytes, 1);
+  m.Count("kd.sent");  // by name: the same slot as the handle
+  m.Count(sent);
+  want["kd.bytes"] = 1;
+  want["kd.sent"] = 2;
+  EXPECT_EQ(m.counters(), want);
+
+  m.Clear();
+  EXPECT_TRUE(m.counters().empty());
+  EXPECT_EQ(m.GetCount("loop.depth_max"), 0);
+  m.RecordMax(depth, -1);  // a gauge counted after a reset starts from 0
+  m.Count(sent);
+  want = {{"kd.sent", 1}, {"loop.depth_max", 0}};
+  EXPECT_EQ(m.counters(), want);
+}
+
+TEST(FlatMapTest, SortedLookupInsertErase) {
+  FlatMap<std::string, int> m;
+  EXPECT_TRUE(m.emplace("b", 2).second);
+  EXPECT_TRUE(m.emplace("a", 1).second);
+  EXPECT_TRUE(m.emplace("c", 3).second);
+  EXPECT_FALSE(m.emplace("b", 20).second);  // keeps the first value
+  EXPECT_EQ(m.at("b"), 2);
+  m["d"] = 4;
+  m["a"] = 10;
+  std::string keys;
+  for (const auto& [k, v] : m) keys += k;
+  EXPECT_EQ(keys, "abcd");
+  EXPECT_EQ(m.at(std::string_view("a")), 10);
+  EXPECT_TRUE(m.contains(std::string("c")));
+  EXPECT_EQ(m.count("z"), 0u);
+  EXPECT_EQ(m.find("z"), m.end());
+  EXPECT_EQ(m.erase("c"), 1u);
+  EXPECT_EQ(m.erase("c"), 0u);
+  EXPECT_EQ(m.size(), 3u);
+  FlatMap<std::string, int> copy = m;
+  EXPECT_TRUE(copy == m);
+  copy["a"] = 11;
+  EXPECT_FALSE(copy == m);
+}
+
+// Maps past the linear-scan size take the binary search; a seeded walk
+// of inserts and erases over up to 200 keys must agree with std::map.
+TEST(FlatMapTest, LargeMapsMatchStdMap) {
+  Rng rng(17);
+  FlatMap<std::string, int> flat;
+  std::map<std::string, int> want;
+  for (int step = 0; step < 5000; ++step) {
+    const std::string key = "k" + std::to_string(rng.UniformInt(200));
+    const int value = static_cast<int>(rng.UniformInt(1000));
+    switch (rng.UniformInt(3)) {
+      case 0:
+        EXPECT_EQ(flat.emplace(key, value).second,
+                  want.emplace(key, value).second);
+        break;
+      case 1:
+        flat[key] = value;
+        want[key] = value;
+        break;
+      default:
+        EXPECT_EQ(flat.erase(key), want.erase(key));
+    }
+    const std::string probe = "k" + std::to_string(rng.UniformInt(200));
+    auto it = flat.find(probe);
+    ASSERT_EQ(it != flat.end(), want.count(probe) == 1) << probe;
+    if (it != flat.end()) {
+      EXPECT_EQ(it->second, want.at(probe));
+    }
+  }
+  ASSERT_GT(flat.size(), 16u);
+  ASSERT_EQ(flat.size(), want.size());
+  auto w = want.begin();
+  for (const auto& [k, v] : flat) {
+    EXPECT_EQ(k, w->first);
+    EXPECT_EQ(v, w->second);
+    ++w;
+  }
 }
 
 TEST(MetricsRecorderTest, DurationsRecordedInMillis) {

@@ -359,6 +359,90 @@ TEST_F(KdFailureTest, AutoscalerCrashIsHarmless) {
       [&] { return cluster->ReadyPodCount("fn") == 5; }, Seconds(120)));
 }
 
+// Link churn clears only what was sent downstream: a scale decision
+// sent into a link that is about to go down is lost in flight, but the
+// Autoscaler keeps it as desired and forwards it again once the link
+// is back.
+TEST_F(KdFailureTest, AutoscalerLinkDownKeepsDesired) {
+  auto cluster = MakeCluster(2);
+  cluster->RegisterFunction("fn");
+  ScaleAndWait(*cluster, 2);
+  const std::string autoscaler = controllers::Addresses::Autoscaler();
+  const std::string deployment =
+      controllers::Addresses::DeploymentController();
+  cluster->network().Partition(autoscaler, deployment);
+  cluster->ScaleTo("fn", 4);  // sent before the loss is detected
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] { return !cluster->autoscaler().link_ready(); }, Seconds(60)));
+  engine_.RunFor(Milliseconds(500));
+  EXPECT_EQ(cluster->autoscaler().DesiredFor("fn"), 4);
+  EXPECT_EQ(cluster->ReadyPodCount("fn"), 2u);  // nothing got through
+  cluster->network().Heal(autoscaler, deployment);
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] { return cluster->ReadyPodCount("fn") == 4; }, Seconds(120)));
+}
+
+// The same for the Deployment controller's own downstream link: the
+// count it forwarded into the dying ReplicaSet link is re-sent after
+// the re-handshake.
+TEST_F(KdFailureTest, DeploymentLinkDownKeepsDesired) {
+  auto cluster = MakeCluster(2);
+  cluster->RegisterFunction("fn");
+  ScaleAndWait(*cluster, 2);
+  const std::string deployment =
+      controllers::Addresses::DeploymentController();
+  const std::string replicaset = controllers::Addresses::ReplicaSetController();
+  cluster->network().Partition(deployment, replicaset);
+  cluster->ScaleTo("fn", 3);  // reaches the Deployment controller first
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] { return !cluster->deployment_controller().link_ready(); },
+      Seconds(60)));
+  engine_.RunFor(Milliseconds(500));
+  EXPECT_EQ(cluster->ReadyPodCount("fn"), 2u);
+  cluster->network().Heal(deployment, replicaset);
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] { return cluster->ReadyPodCount("fn") == 3; }, Seconds(120)));
+}
+
+// A crash clears both the desired count and the record of what was
+// sent: the restarted Autoscaler knows no scale until the policy speaks
+// again, and then re-sends even a value it had sent before the crash.
+TEST_F(KdFailureTest, AutoscalerCrashClearsDesiredAndSent) {
+  auto cluster = MakeCluster(2);
+  cluster->RegisterFunction("fn");
+  ScaleAndWait(*cluster, 2);
+  cluster->autoscaler().Crash();
+  EXPECT_EQ(cluster->autoscaler().DesiredFor("fn"), -1);
+  cluster->autoscaler().Restart();
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] { return cluster->autoscaler().link_ready(); }, Seconds(60)));
+  engine_.RunFor(Milliseconds(100));
+  EXPECT_EQ(cluster->autoscaler().DesiredFor("fn"), -1);
+  const std::int64_t sent = cluster->metrics().GetCount("kd_messages_sent");
+  cluster->ScaleTo("fn", 2);
+  engine_.RunFor(Milliseconds(100));
+  EXPECT_EQ(cluster->autoscaler().DesiredFor("fn"), 2);
+  EXPECT_GT(cluster->metrics().GetCount("kd_messages_sent"), sent);
+  EXPECT_EQ(cluster->ReadyPodCount("fn"), 2u);
+}
+
+// The Deployment controller forgets desired counts in a crash; the
+// Autoscaler's re-handshake re-sends what it still wants, including a
+// decision taken while the Deployment controller was down.
+TEST_F(KdFailureTest, DeploymentCrashRelearnsDesiredFromAutoscaler) {
+  auto cluster = MakeCluster(2);
+  cluster->RegisterFunction("fn");
+  ScaleAndWait(*cluster, 2);
+  cluster->deployment_controller().Crash();
+  engine_.RunFor(Milliseconds(50));
+  cluster->ScaleTo("fn", 3);
+  engine_.RunFor(Milliseconds(200));
+  EXPECT_EQ(cluster->ReadyPodCount("fn"), 2u);
+  cluster->deployment_controller().Restart();
+  ASSERT_TRUE(cluster->RunUntil(
+      [&] { return cluster->ReadyPodCount("fn") == 3; }, Seconds(120)));
+}
+
 TEST_F(KdFailureTest, MultiPointFailureEventuallyConverges) {
   // Downstream-first multi-failure: crash the scheduler AND the RS
   // controller, plus a transient partition. The handshake protocol's
